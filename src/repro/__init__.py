@@ -14,11 +14,12 @@ Quick start::
     print(result.text())
 """
 
-from .core import (Collector, Context, Display, EventMultiplexer,
+from ._lazy import lazy_exports
+from .core import (Collector, Context, Display,
                    MutabilityRegistry, Pipeline, RegionTree,
                    StateTransformer, UpdateWrapper, apply_updates)
 from .events import Event, IdGenerator, Kind
-from .xmlio import XMLTokenizer, parse as parse_xml, tokenize, write_events
+from .xmlio import XMLTokenizer, tokenize, write_events
 from .xquery import (CompileError, MultiQueryRun, Plan, QueryRun, XFlux,
                      XQuerySyntaxError)
 from .xquery import parse as parse_query
@@ -35,3 +36,9 @@ __all__ = [
     "EventMultiplexer",
     "__version__",
 ]
+
+#: Exported names whose modules load on first use (not needed to compile
+#: or run a single query): ``public name -> (module, attribute)``.
+__getattr__ = lazy_exports(globals(), {
+    "EventMultiplexer": (".core.multiplex", "EventMultiplexer"),
+    "parse_xml": (".xmlio.dom", "parse")})

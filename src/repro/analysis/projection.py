@@ -40,29 +40,17 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, \
     Tuple
 
+# The path vocabulary is shared with the consumer-demand pass, which
+# lives on the compile path (repro.core.demand) to keep this package's
+# imports out of compile time.
+from ..core.demand import (CHILD, DESCENDANT, Path, Step,  # noqa: F401
+                           format_path)
 from ..events.model import CD, EE, SE, UPDATE_KINDS, Event
-
-#: Path-step axes.
-CHILD = "child"
-DESCENDANT = "descendant"
-
-#: A path step: (axis, tag); ``tag is None`` means any element.
-Step = Tuple[str, Optional[str]]
-#: A path: steps from (but excluding) the document root.
-Path = Tuple[Step, ...]
 
 #: Matcher verdicts for a start tag.
 SKIP = 0      # no path step can match at or below this element
 KEEP = 1      # on the spine of some path: emit, keep matching children
 ACCEPT = 2    # a path endpoint: keep the whole subtree verbatim
-
-
-def format_path(path: Path) -> str:
-    """Render a path XPath-style (``/site//item``)."""
-    if not path:
-        return "/"
-    return "".join(("/" if axis == CHILD else "//") + (tag or "*")
-                   for axis, tag in path)
 
 
 class QueryProjection:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Union
 
+from ..core.demand import derive_demand
 from ..core.transformer import StateTransformer
 from ..core.wrapper import UpdatePolicy
 from ..xquery.compiler import Plan
@@ -146,6 +147,10 @@ class PlanReport:
         #: Same, but with data-dependent freezes.
         self.dynamic_conditional: List[BracketFamily] = []
         self.lints: List[str] = []
+        #: The consumer demand on every stream (:mod:`repro.core.demand`):
+        #: the plan's installed one, else derived here.
+        self.demand = (plan.demand if plan.demand is not None
+                       else derive_demand(plan))
 
     def stage(self, index: int) -> StageReport:
         return self.stages[index]
@@ -484,6 +489,9 @@ def render_report(report: PlanReport) -> str:
         notes = sr.facts.get("notes")
         if notes:
             lines.append("    note: {}".format(notes))
+        lines.append("    demand: {}".format(_demand_line(report, sr.index)))
+    if report.demand.universal:
+        lines.append("demand: universal ({})".format(report.demand.reason))
     lines.append("static fix map after a complete run:")
     lines.append("  never-frozen compile-time regions: {}".format(
         ", ".join(map(str, report.persistent_static)) or "none"))
@@ -506,6 +514,18 @@ def render_report(report: PlanReport) -> str:
         for lint in report.lints:
             lines.append("  - {}".format(lint))
     return "\n".join(lines)
+
+
+def _demand_line(report: PlanReport, index: int) -> str:
+    """``reads [i] ...; emits [o] ...`` for one stage."""
+    demand = report.demand
+
+    def side(streams: dict) -> str:
+        return ", ".join("[{}] {}".format(sid, d.describe())
+                         for sid, d in sorted(streams.items()))
+
+    return "reads {}; emits {}".format(side(demand.inputs[index]),
+                                       side(demand.outputs[index]))
 
 
 def _family_to_dict(f: BracketFamily) -> dict:
@@ -535,6 +555,8 @@ def report_to_dict(report: PlanReport) -> dict:
     from ..obs.recorder import stage_identities
     plan = report.plan
     idents = stage_identities(plan.stages)
+    demand = report.demand.to_dict()
+    demand_stages = demand.pop("stages")
     stages = []
     for sr, ident in zip(report.stages, idents):
         stages.append({
@@ -550,6 +572,7 @@ def report_to_dict(report: PlanReport) -> dict:
             "emits": [_family_to_dict(f) for f in sr.own],
             "notes": sr.facts.get("notes"),
             "lints": list(sr.lints),
+            "demand": demand_stages[sr.index],
         })
     return {
         "plan": {
@@ -570,6 +593,7 @@ def report_to_dict(report: PlanReport) -> dict:
                                     report.dynamic_conditional],
         },
         "lints": list(report.lints),
+        "demand": demand,
     }
 
 

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.demand import NOTHING, Demand, apply_demand
 from ..core.pipeline import Pipeline
 from ..core.transformer import Context
 from ..core.wrapper import _FIRST_UPDATE
@@ -573,13 +574,26 @@ def _compile_group(root: PrefixNode, attach: Dict[int, PrefixNode],
     members: List[tuple] = []
     class_map: Dict[frozenset, _FeedClass] = {}
     classes: List[_FeedClass] = []
+    #: What the members read of the prefix's output streams: the union
+    #: of their consumer demands is what the prefix must deliver.
+    reads: Dict[int, Demand] = {}
     for s in shared_slots:
         node = attach[s]
         clone = clone_id if s in cloned else None
-        compiler = Compiler(ctx=ctx, source_id=0, mutable_source=mutable,
-                            clone_source=clone)
+        # Members share the group's id allocator (ids stay unique across
+        # the prefix and every member) but keep a fix map of their own:
+        # the prefix runs a whole chunk ahead of its members, so a shared
+        # map would already hold the prefix's later freezes when a member
+        # reaches the hide/show that precede them in its own stream.
+        # Each member's map evolves exactly as its events reach it, as in
+        # a standalone pipeline.
+        member_ctx = Context(ids=ctx.ids)
+        compiler = Compiler(ctx=member_ctx, source_id=0,
+                            mutable_source=mutable, clone_source=clone)
         plan = compiler.compile(
             chains[s].suffix_expr(node.depth, node.stream))
+        for sid, d in apply_demand(plan).sources.items():
+            reads[sid] = reads.get(sid, NOTHING) | d
         members.append((s, make_run(plan, engine_map[s])))
         keep = frozenset({node.stream} if clone is None
                          else {node.stream, clone})
@@ -597,6 +611,7 @@ def _compile_group(root: PrefixNode, attach: Dict[int, PrefixNode],
                        len(classes))
     prefix_plan = Plan(stages, 0, last_stream[0], ctx, bool(cloned),
                        mutable_source=mutable)
+    apply_demand(prefix_plan, sinks=reads)
     fusion = None
     if fuse:
         from .fusion import fusion_partition

@@ -1,7 +1,7 @@
 """Core framework: state transformers, update wrapper, regions, display."""
 
+from .._lazy import lazy_exports
 from .display import Display
-from .multiplex import EventMultiplexer, NestingGuard
 from .pipeline import (Collector, Filter, Pipeline, SinkFilter,
                        build_filter_chain, run_stages)
 from .regions import Region, RegionTree, apply_updates
@@ -19,3 +19,10 @@ __all__ = [
     "Display",
     "EventMultiplexer", "NestingGuard",
 ]
+
+#: Exported names whose modules load on first use: the multi-query
+#: executor is not needed to compile or run a single query, and set-up
+#: time (import + compile) is part of every run.
+__getattr__ = lazy_exports(globals(), {
+    "EventMultiplexer": (".multiplex", "EventMultiplexer"),
+    "NestingGuard": (".multiplex", "NestingGuard")})

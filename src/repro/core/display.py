@@ -62,9 +62,11 @@ class Display:
         self._sample_peaks()
 
     def _sample_peaks(self) -> None:
-        stats = self.tree.stats()
-        self.peak_regions = max(self.peak_regions, stats["regions"])
-        self.peak_events = max(self.peak_events, stats["events"])
+        tree = self.tree
+        if tree.n_regions > self.peak_regions:
+            self.peak_regions = tree.n_regions
+        if tree.n_events > self.peak_events:
+            self.peak_events = tree.n_events
 
     # -- snapshots -------------------------------------------------------------
 

@@ -210,12 +210,19 @@ class RegionTree:
         self.registry: Dict[int, Region] = {}
         self.open: Dict[int, Region] = {}
         self.ignored_updates = 0
+        #: Live totals of what :meth:`stats` walks the tree for (regions
+        #: attached under a root, roots included; buffered events),
+        #: maintained on every append, open, clear, discard and dissolve
+        #: so the display can sample its peaks in O(1).
+        self.n_regions = 0
+        self.n_events = 0
         for rid in self._wanted:
             self._open_root(rid)
 
     # -- event intake --------------------------------------------------------
 
     def _open_root(self, rid: int) -> Region:
+        self.n_regions += 1
         root = Region(rid)
         self.roots[rid] = root
         self.root_order.append(rid)
@@ -237,6 +244,7 @@ class RegionTree:
             region = self.open.get(e.id)
             if region is not None:
                 region.append_event(e)
+                self.n_events += 1
             return
         if kind in (ST, ET):
             region = self.open.get(e.id)
@@ -246,6 +254,7 @@ class RegionTree:
                 region = self._open_root(e.id)
             if region is not None and self.keep_tuples:
                 region.append_event(e)
+                self.n_events += 1
             return
         if kind == SM:
             target = self.open.get(e.id)
@@ -254,6 +263,7 @@ class RegionTree:
                 return
             region = Region(e.sub)  # type: ignore[arg-type]
             target.append_child(region)
+            self.n_regions += 1
             self.registry[e.sub] = region  # type: ignore[index]
             self.open[e.sub] = region  # type: ignore[index]
             return
@@ -263,9 +273,9 @@ class RegionTree:
                 self.ignored_updates += 1
                 return
             region = Region(e.sub)  # type: ignore[arg-type]
+            self.n_regions += 1
             if kind == SR:
-                for dropped in target.clear_content():
-                    self._purge(dropped)
+                self._clear(target)
                 target.append_child(region)
             elif kind == SB:
                 _insert_before(target, region)
@@ -306,14 +316,22 @@ class RegionTree:
             return  # stream roots are never dissolved
         del self.registry[rid]
         self.open.pop(rid, None)
+        self.n_regions -= 1
         if region.hidden:
-            for dropped in region.clear_content():
-                self._purge(dropped)
+            self._clear(region)
             _unlink(region)
         else:
             # Frozen subregions inside keep their registry entries only if
             # still reachable; dissolving preserves flattened output.
             region.dissolve()
+
+    def _clear(self, region: Region) -> None:
+        """Drop a region's content, keeping the live totals exact."""
+        gone = region.counts()
+        self.n_regions -= gone["regions"]
+        self.n_events -= gone["events"]
+        for dropped in region.clear_content():
+            self._purge(dropped)
 
     def _purge(self, region: Region) -> None:
         """Remove a discarded region from the registries."""
@@ -342,7 +360,11 @@ class RegionTree:
         return out
 
     def stats(self) -> Dict[str, int]:
-        """Buffering metrics: live regions and buffered events."""
+        """Buffering metrics: live regions and buffered events.
+
+        Walks the whole tree — the reference the live ``n_regions`` /
+        ``n_events`` totals are tested against.
+        """
         regions = 0
         events = 0
         for root in self.roots.values():

@@ -160,6 +160,9 @@ class UpdateWrapper:
         self._region_info: Dict[int, tuple] = {}
         self._inner: Dict[int, set] = {}  # region -> subs opened within it
         self._parent: Dict[int, Optional[int]] = {}  # bracket nesting
+        # Inverse of _parent (region -> regions linked below it), so a
+        # freeze can re-link a live child past its frozen parent.
+        self._children: Dict[int, set] = {}
         self._bracket_stack: List[int] = []          # open tracked brackets
         self._policy_cache: Dict[int, UpdatePolicy] = {}
         # region/alias id -> its policy, recorded once at bracket open so
@@ -524,10 +527,15 @@ class UpdateWrapper:
         # lives inside its target; replace/insert content occupies a spot
         # inside the target's own container (brackets may interleave).
         if e.kind in (SM, SR):
-            self._parent[j] = i if i in self._regions else None
+            parent = i if i in self._regions else None
         else:
-            self._parent[j] = (self._parent.get(i)
-                               if i in self._regions else None)
+            parent = self._parent.get(i) if i in self._regions else None
+        self._parent[j] = parent
+        if parent is not None:
+            kids = self._children.get(parent)
+            if kids is None:
+                kids = self._children[parent] = set()
+            kids.add(j)
         self._bracket_stack.append(j)
         self.peak_states = max(self.peak_states, len(self._regions) + 1)
         # Bracket emission per policy.
@@ -828,6 +836,7 @@ class UpdateWrapper:
             self._anchor_at_open.pop(uid, None)
             self._region_info.pop(uid, None)
             self._inner.pop(uid, None)
+            self._unlink_parent(uid)
             bs = self._bracket_stack
             if bs:
                 if bs[-1] == uid:
@@ -843,21 +852,62 @@ class UpdateWrapper:
             self.t.set_state(s)
             self._resident = s
 
+    def _unlink_parent(self, uid: int) -> None:
+        """Drop a frozen region's nesting links, keeping live answers.
+
+        ``_hidden_anchor`` and ``_nearest_open`` skip frozen regions
+        anyway (a frozen region is never hidden-with-shadow nor an open
+        bracket), so live children are re-linked to the frozen region's
+        own parent.  ``_region_chain`` does list frozen ancestors, so the
+        chain of every live region below ``uid`` is cached first, exactly
+        as it reads with all links in place.
+        """
+        kids = self._children.pop(uid, None)
+        if kids:
+            pending = list(kids)
+            while pending:
+                k = pending.pop()
+                self._region_chain(k)
+                pending.extend(self._children.get(k, ()))
+        self._chain_cache.pop(uid, None)
+        parent = self._parent.pop(uid, None)
+        if parent is not None:
+            sibs = self._children.get(parent)
+            if sibs is not None:
+                sibs.discard(uid)
+                if not sibs:
+                    del self._children[parent]
+        if kids:
+            for k in kids:
+                self._parent[k] = parent
+            if parent is not None:
+                self._children.setdefault(parent, set()).update(kids)
+
     # -- adjustment --------------------------------------------------------------------
 
     def _region_chain(self, eid: int) -> tuple:
-        # Parent links are assigned once when a bracket opens and never
-        # reassigned, so the chain of a region is immutable and cacheable.
+        """``eid`` and its positional ancestors as of its bracket open.
+
+        Cached per region; a walk stops at the first ancestor with a
+        cached chain, which (see :meth:`_unlink_parent`) still lists any
+        ancestor frozen and unlinked since.
+        """
         chain = self._chain_cache.get(eid)
         if chain is not None:
             return chain
         parts = []
         k: Optional[int] = eid
+        cache = self._chain_cache
         while k is not None:
+            above = cache.get(k)
+            if above is not None:
+                chain = tuple(parts) + above
+                break
             parts.append(k)
             k = self._parent.get(k)
-        chain = tuple(parts)
-        self._chain_cache[eid] = chain
+        else:
+            chain = tuple(parts)
+        cache[eid] = chain
         return chain
 
     def _hidden_anchor(self, key: object) -> Optional[int]:

@@ -1,5 +1,6 @@
 """Event model for XML update streams (paper Sections II and III)."""
 
+from .._lazy import lazy_exports
 from .model import (ABBREV_TO_KIND, UpdateStripper, strip_updates, CD, DATA_KINDS, EA, EB, EE, EM, ER, ES,
                     ET, FREEZE, HIDE, SA, SB, SE, SHOW, SM, SR, SS, ST,
                     UPDATE_ENDS, UPDATE_KINDS, UPDATE_STARTS, Event,
@@ -10,11 +11,6 @@ from .model import (ABBREV_TO_KIND, UpdateStripper, strip_updates, CD, DATA_KIND
                     start_insert_before, start_mutable, start_replace,
                     start_stream, start_tuple)
 from .errors import ProtocolViolation
-from .serialize import (EventSyntaxError, dumps, event_to_text, iter_loads,
-                        loads)
-from .wellformed import (WellFormednessError, check_well_formed,
-                         element_balance, is_well_formed, projection,
-                         strip_tuples, validate_document_stream)
 
 __all__ = [
     "Event", "Kind", "IdGenerator",
@@ -36,3 +32,14 @@ __all__ = [
     "validate_document_stream", "projection", "strip_tuples",
     "WellFormednessError", "ProtocolViolation",
 ]
+
+#: The textual format and the well-formedness checker load on first use
+#: (the engine's hot path needs neither).
+__getattr__ = lazy_exports(globals(), dict(
+    [(name, (".serialize", name))
+     for name in ("EventSyntaxError", "dumps", "event_to_text",
+                  "iter_loads", "loads")]
+    + [(name, (".wellformed", name))
+       for name in ("WellFormednessError", "check_well_formed",
+                    "element_balance", "is_well_formed", "projection",
+                    "strip_tuples", "validate_document_stream")]))

@@ -91,6 +91,8 @@ class TextStep(StateTransformer):
         # "content": the text() step reads character data inside its
         # input items, so those items' subtrees must be kept whole.
         facts["projection"] = {"kind": "content"}
+        # Demand: only the text directly inside each item.
+        facts["demand"] = {"kind": "text"}
         return facts
 
     def type_facts(self) -> dict:

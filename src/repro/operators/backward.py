@@ -25,6 +25,12 @@ state — see DESIGN.md.
 
 ``parent`` (``/..``) is the same join restricted to matches at candidate
 depth 1 (the result element must be a *direct* child of the candidate).
+
+The join reads only element boundaries of its inputs (the incoming item's
+end tag, the candidate's element tags — its children for ``..``), which
+its ``demand`` fact declares.  With the output's demand installed
+(:meth:`AncestorJoin.prune_to`), candidate content is cut to what the
+consumer reads: a ``count()`` receives candidate shells only.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ from ..events.model import (CD, EE, ES, ET, SE, SM, SS, ST, Event,
                             end_mutable, freeze as freeze_event,
                             hide as hide_event, show as show_event,
                             start_mutable)
+from ..core.demand import ELEMENT_SHELLS, ITEM_SHELLS, advance, \
+    matcher_for
 from ..core.transformer import Context, State, StateTransformer
 from ..core.wrapper import UpdatePolicy
 
@@ -45,6 +53,15 @@ class AncestorJoin(StateTransformer):
     """Join candidate ancestors (cloned+expanded) with incoming results."""
 
     inert = False
+    #: Emit element boundaries / character data inside candidates (off
+    #: when the output's consumer never reads them).
+    _inner = True
+    _text = True
+    #: Demand matcher driving a per-candidate cursor (general demands).
+    _dm = None
+    #: Demand cursor inside the current candidate (wrapper state when a
+    #: demand is installed).
+    _cur = None
 
     def __init__(self, ctx: Context, clone_id: int, incoming_id: int,
                  output_id: int, direct_only: bool = False,
@@ -91,7 +108,24 @@ class AncestorJoin(StateTransformer):
         # Backward axes correlate distant parts of the document through
         # oid registers — no forward path argument covers them.
         facts["projection"] = {"kind": "opaque", "note": "backward axis"}
+        # Reads boundaries only: the incoming items' end tags, and the
+        # candidates' element tags (children only for ``..``).
+        facts["demand"] = {"kind": "join", "candidates": self.clone_id,
+                           "incoming": self.incoming_id,
+                           "direct": self.direct_only}
         return facts
+
+    def prune_to(self, demands: dict) -> None:
+        """Cut candidate content to what the output's consumer reads."""
+        m = matcher_for(demands.get(self.output_id))
+        if m is None:
+            return
+        if m.shape == ITEM_SHELLS:
+            self._inner = self._text = False
+        elif m.shape == ELEMENT_SHELLS:
+            self._text = False
+        else:
+            self._dm = m
 
     def type_facts(self) -> dict:
         # Output elements come from the candidate (clone) side; nothing
@@ -99,10 +133,15 @@ class AncestorJoin(StateTransformer):
         return {"kind": "join", "keep": 0, "requires": 1}
 
     def get_state(self) -> State:
-        return (self.depth, self.nid, self.outcome)
+        if self._dm is None:
+            return (self.depth, self.nid, self.outcome)
+        return (self.depth, self.nid, self.outcome, self._cur)
 
     def set_state(self, state: State) -> None:
-        self.depth, self.nid, self.outcome = state
+        if self._dm is None:
+            self.depth, self.nid, self.outcome = state
+        else:
+            self.depth, self.nid, self.outcome, self._cur = state
 
     def bracket_anchor(self) -> int:
         return self.nid if self.nid is not None else self.output_id
@@ -128,11 +167,23 @@ class AncestorJoin(StateTransformer):
         # subtrees are almost entirely sE/eE/cD; the structural kinds
         # close out the rare case.
         out: List[Event] = []
+        m = self._dm
         if kind == SE:
             if self.depth == 0:
                 self.nid = self.ctx.fresh_id()
                 self.outcome = 0
                 out.append(start_mutable(self.output_id, self.nid))
+                if m is not None:
+                    self._cur = (m.initial, 0, None)
+            elif m is not None:
+                keep, self._cur = advance(m, self._cur, kind, e.tag,
+                                          self.depth)
+                if not keep:
+                    self.depth += 1
+                    return out
+            elif not self._inner:
+                self.depth += 1
+                return out
             self.depth += 1
             out.append(e.relabel(self.nid))
             return out
@@ -140,7 +191,15 @@ class AncestorJoin(StateTransformer):
             if self.nid is None:
                 return []  # stray close outside any candidate
             self.depth -= 1
-            out.append(e.relabel(self.nid))
+            keep = True
+            if self.depth:
+                if m is not None:
+                    keep, self._cur = advance(m, self._cur, kind, e.tag,
+                                              self.depth)
+                else:
+                    keep = self._inner
+            if keep:
+                out.append(e.relabel(self.nid))
             if (e.oid is not None and e.oid == self.right_end_oid
                     and self.depth >= 1
                     and (not self.direct_only or self.depth == 1)):
@@ -150,6 +209,7 @@ class AncestorJoin(StateTransformer):
             if self.depth == 0:
                 nid = self.nid
                 self.nid = None
+                self._cur = None
                 out.append(end_mutable(self.output_id, nid))
                 if self.outcome == 0:
                     out.append(hide_event(nid))
@@ -162,6 +222,11 @@ class AncestorJoin(StateTransformer):
         if kind == CD:
             if self.nid is None:
                 return []  # stray top-level text is never an ancestor
+            if m is not None:
+                if not advance(m, self._cur, kind, None, self.depth)[0]:
+                    return []
+            elif not self._text:
+                return []
             return [e.relabel(self.nid)]
         return [e.relabel(self.output_id)]  # sS/eS/sT/eT
 
@@ -183,8 +248,7 @@ class AncestorJoin(StateTransformer):
     def adjust(self, state: State, s1: State, s2: State) -> State:
         if state[1] != s1[1] or state[1] is None:
             return state
-        depth, nid, outcome = state
-        return (depth, nid, outcome + (s2[2] - s1[2]))
+        return (state[0], state[1], state[2] + (s2[2] - s1[2])) + state[3:]
 
     def on_transition(self, uid: int, s1: State, s2: State) -> List[Event]:
         nid = s2[1]

@@ -176,6 +176,9 @@ class TupleConstruct(TupleRegionMixin, StateTransformer):
             "per-tuple wrapper element in a region slaved to the tuple's "
             "source regions (sealed when they all freeze)")
         facts["projection"] = {"kind": "plumbing"}
+        # Demand: the wrapper element shifts every path one level down,
+        # so the consumer's paths do not carry over; read items whole.
+        facts["demand"] = {"kind": "content"}
         return facts
 
     def type_facts(self) -> dict:

@@ -19,6 +19,18 @@ State: the depth counter and one substream id per open nesting level; no
 event is ever buffered.  Generated regions are frozen as soon as they
 close (Section V), so downstream stages and the display drop their state
 immediately; the pooled region ids are re-declared by later siblings.
+
+**Consumer demand.**  With a :class:`~repro.core.demand.Demand` installed
+(:meth:`DescendantStep.prune_to`), each level keeps a demand cursor over
+its match's subtree and a copy is emitted into a level only when that
+level's consumer reads the event (e.g. only ``/location`` and
+``/quantity`` under each ``//*`` match of Q3).  The cursors are part of
+the wrapper-managed state.  While every open level is inside a skipped
+subtree, ``quiet`` holds the depth where that ends, so the common
+single-level ``//tag`` case drops the subtree with one flag test per
+event.  Two demands need no cursor: shells only (``count()``) copies
+nothing into enclosing levels, and every element's shell (a backward
+join's candidates) copies no character data.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from typing import List, Optional, Tuple
 from ..events.model import (CD, EE, ES, ET, SE, SS, ST, Event,
                             end_insert_before, end_mutable, freeze,
                             start_insert_before, start_mutable)
+from ..core.demand import ELEMENT_SHELLS, ITEM_SHELLS, KEEP, matcher_for
 from ..core.transformer import Context, State, StateTransformer
 
 _STRUCTURAL = (SS, ES, ST, ET)
@@ -43,6 +56,12 @@ class DescendantStep(StateTransformer):
     """
 
     inert = True
+    #: Copy element boundaries / character data into the enclosing
+    #: levels (off when the output's consumer never reads them).
+    _inner = True
+    _text = True
+    #: Demand matcher driving per-level cursors (general demands only).
+    _dm = None
 
     def __init__(self, ctx: Context, input_id: int, output_id: int,
                  tag: Optional[str], freeze_regions: bool = True) -> None:
@@ -81,20 +100,45 @@ class DescendantStep(StateTransformer):
     def type_facts(self) -> dict:
         return {"kind": "step", "axis": "descendant", "tag": self.tag}
 
+    def prune_to(self, demands: dict) -> None:
+        """Emit per-level copies only where the output's consumer reads."""
+        m = matcher_for(demands.get(self.output_id))
+        if m is None:
+            return
+        if m.shape == ITEM_SHELLS:
+            self._inner = self._text = False
+        elif m.shape == ELEMENT_SHELLS:
+            self._text = False
+        else:
+            self._dm = m
+            #: One demand cursor per open level (parallel to ``levels``).
+            self.cursors: tuple = ()
+            #: While every open level skips: the depth at which the first
+            #: skip ends (0: some level may keep the next event).
+            self.quiet = 0
+
     def get_state(self) -> State:
-        return (self.depth, self.levels)
+        if self._dm is None:
+            return (self.depth, self.levels)
+        return (self.depth, self.levels, self.cursors, self.quiet)
 
     def set_state(self, state: State) -> None:
-        self.depth, self.levels = state
+        if self._dm is None:
+            self.depth, self.levels = state
+        else:
+            self.depth, self.levels, self.cursors, self.quiet = state
 
     def process(self, e: Event) -> List[Event]:
+        if self._dm is not None:
+            return self._process_pruned(e)
         # Kind tests ordered by frequency (sE/eE/cD dominate); per-level
         # copies go through Event.relabel, the slot-copying fast path.
         kind = e.kind
         if kind == SE:
             levels = self.levels
             out: List[Event] = \
-                [e.relabel(cid) for cid, _ in levels] if levels else []
+                [e.relabel(cid) for cid, _ in levels] \
+                if levels and self._inner else []
             if self.depth >= 1 and (self.tag is None or e.tag == self.tag):
                 if not levels:
                     anchor = self.ctx.fresh_id()
@@ -125,12 +169,133 @@ class DescendantStep(StateTransformer):
                         out.append(freeze(copy_id))
                 elif self.freeze_regions:
                     out.append(freeze(region_id))  # seal the anchor
-            if levels:
+            if levels and self._inner:
                 out.extend(e.relabel(cid) for cid, _ in reversed(levels))
             return out
         if kind == CD:
             levels = self.levels
-            return [e.relabel(cid) for cid, _ in levels] if levels else []
+            return [e.relabel(cid) for cid, _ in levels] \
+                if levels and self._text else []
+        return [e.relabel(self.output_id)]  # sS/eS/sT/eT
+
+    def _process_pruned(self, e: Event) -> List[Event]:
+        """:meth:`process` with each level's copies cut to its demand.
+
+        Same brackets, anchors and match structure as the unpruned path;
+        only the per-level copies of events *inside* a match that its
+        consumer does not read are left out.
+        """
+        kind = e.kind
+        quiet = self.quiet
+        if quiet:
+            # Every open level is inside a skipped subtree ending at
+            # depth ``quiet``: nothing is copied until it closes or a
+            # nested match opens a level of its own.
+            if kind == CD:
+                return []
+            if kind == SE:
+                if self.tag is not None and e.tag != self.tag:
+                    self.depth += 1
+                    return []
+            elif kind == EE:
+                if self.depth - 1 > quiet:
+                    self.depth -= 1
+                    return []
+        if kind == SE:
+            d = self.depth
+            levels = self.levels
+            m = self._dm
+            out: List[Event] = []
+            # ``quiet`` is recomputed on the way: the deepest skip start
+            # while every level skips, 0 as soon as one does not.
+            quiet = 0
+            if levels:
+                cursors = self.cursors
+                pushed = None      # copy-on-write: only pushes change it
+                for i in range(len(levels)):
+                    c = cursors[i]
+                    s = c[0]
+                    if s > KEEP:
+                        ns = m.trans[s].get(e.tag)
+                        if ns is None:
+                            ns = m.step(s, e.tag)
+                        if pushed is None:
+                            pushed = list(cursors)
+                        pushed[i] = (ns, d, c)
+                        if ns:
+                            out.append(e.relabel(levels[i][0]))
+                            quiet = -1
+                        elif quiet >= 0:
+                            quiet = d
+                    elif s:
+                        out.append(e.relabel(levels[i][0]))
+                        quiet = -1
+                    elif quiet >= 0 and c[1] > quiet:
+                        quiet = c[1]
+                if pushed is not None:
+                    self.cursors = tuple(pushed)
+            if d >= 1 and (self.tag is None or e.tag == self.tag):
+                if not levels:
+                    anchor = self.ctx.fresh_id()
+                    out.extend((start_mutable(self.output_id, anchor),
+                                end_mutable(self.output_id, anchor),
+                                e.relabel(self.output_id)))
+                    self.levels = ((self.output_id, anchor),)
+                else:
+                    nid = self.ctx.fresh_id()
+                    out.extend((start_insert_before(levels[-1][1], nid),
+                                e.relabel(nid)))
+                    self.levels = levels + ((nid, nid),)
+                self.cursors = self.cursors + ((m.initial, d, None),)
+                quiet = 0
+            self.depth = d + 1
+            self.quiet = quiet if quiet > 0 else 0
+            return out
+        if kind == EE:
+            d = self.depth = self.depth - 1
+            levels = self.levels
+            if not levels:
+                return []
+            out = []
+            cursors = self.cursors
+            if self._closes_top(e):
+                copy_id, region_id = levels[-1]
+                self.levels = levels = levels[:-1]
+                cursors = cursors[:-1]
+                out.append(e.relabel(copy_id))
+                if levels:
+                    out.append(end_insert_before(levels[-1][1], copy_id))
+                    if self.freeze_regions:
+                        out.append(freeze(copy_id))
+                elif self.freeze_regions:
+                    out.append(freeze(region_id))  # seal the anchor
+            quiet = 0
+            if levels:
+                popped = None      # copy-on-write: only pops change it
+                for i in range(len(levels) - 1, -1, -1):
+                    c = cursors[i]
+                    if c[0]:
+                        out.append(e.relabel(levels[i][0]))
+                    if c[1] == d:
+                        if popped is None:
+                            popped = list(cursors)
+                        c = popped[i] = c[2]
+                    if c[0]:
+                        quiet = -1
+                    elif quiet >= 0 and c[1] > quiet:
+                        quiet = c[1]
+                if popped is not None:
+                    cursors = tuple(popped)
+            self.cursors = cursors
+            self.quiet = quiet if quiet > 0 else 0
+            return out
+        if kind == CD:
+            levels = self.levels
+            if not levels:
+                return []
+            text = self._dm.text
+            return [e.relabel(cid) for (cid, _), c in
+                    zip(levels, self.cursors) if text[c[0]]]
         return [e.relabel(self.output_id)]  # sS/eS/sT/eT
 
     def _closes_top(self, e: Event) -> bool:
@@ -151,3 +316,4 @@ class DescendantStep(StateTransformer):
         return "DescendantStep(//{}: {} -> {})".format(
             self.tag if self.tag is not None else "*",
             self.input_ids[0], self.output_id)
+

@@ -196,6 +196,9 @@ class LiteralText(TupleRegionMixin, StateTransformer):
         # items must survive projection even when nothing else reads them
         # (a constant-return FLWOR still emits one literal per tuple).
         facts["projection"] = {"kind": "content"}
+        # Demand: tuple markers and item shells pace the literal; the
+        # text directly inside an item is kept as well (as for text()).
+        facts["demand"] = {"kind": "text"}
         return facts
 
     def type_facts(self) -> dict:

@@ -337,6 +337,9 @@ class Predicate(StateTransformer):
         # "content": the inline condition pipelines navigate within each
         # item, so whole item subtrees must survive projection.
         facts["projection"] = {"kind": "content"}
+        # Demand: items pass through unchanged, and the conditions read
+        # only their own relative paths ([location=...] -> /location).
+        facts["demand"] = {"kind": "filter"}
         return facts
 
     def type_facts(self) -> dict:

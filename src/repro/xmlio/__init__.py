@@ -1,7 +1,6 @@
 """XML substrate: from-scratch tokenizer, writer, and mini-DOM."""
 
-from .dom import (Element, Node, Text, forest_from_events, forest_to_xml,
-                  parse)
+from .._lazy import lazy_exports
 from .tokenizer import (ResourceLimitError, XMLSyntaxError, XMLTokenizer,
                         iter_tokenize, tokenize)
 from .writer import escape_text, write_events
@@ -13,3 +12,9 @@ __all__ = [
     "Node", "Element", "Text", "parse", "forest_from_events",
     "forest_to_xml",
 ]
+
+#: The mini-DOM loads on first use (the streaming engine never needs it).
+__getattr__ = lazy_exports(globals(), {
+    name: (".dom", name) for name in ("Node", "Element", "Text", "parse",
+                                      "forest_from_events",
+                                      "forest_to_xml")})

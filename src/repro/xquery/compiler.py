@@ -61,6 +61,10 @@ class Plan:
         #: while events flow.  The static analyzer uses this watermark to
         #: compare its fix-map prediction with the runtime registry.
         self.first_runtime_id = ctx.ids._next
+        #: The derived consumer demand (:mod:`repro.core.demand`) once
+        #: installed on the copying stages; None for plans compiled
+        #: without it (the unpruned reference).
+        self.demand = None
 
     def __repr__(self) -> str:
         return "Plan({} stages, source={}, result={})".format(

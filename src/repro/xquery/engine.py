@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterable, Optional
 
+from ..core.demand import apply_demand
 from ..core.display import Display
 from ..core.pipeline import Pipeline
 from ..core.transformer import Context
@@ -696,13 +697,15 @@ class MultiQueryRun:
         """Union projection, tokenizer counters, per-mask drop counts."""
         if self.projection is None:
             return None
+        # Shared groups carry one mask on their prefix pipeline.
+        masks = list(self._masks.values()) + [
+            g.mask for g in self.groups if g.mask is not None]
         out = {
             "union": self.projection.to_dict(),
             "tokenizer_pruning": self.projection_matcher is not None,
-            "masked_pipelines": len(self._masks),
+            "masked_pipelines": len(masks),
             "mask_events_dropped": sum(
-                m.counters["mask_events_dropped"]
-                for m in self._masks.values()),
+                m.counters["mask_events_dropped"] for m in masks),
         }
         if self.projection_stats is not None:
             out["tokenizer"] = self.projection_stats.to_dict()
@@ -778,9 +781,12 @@ class XFlux:
 
         With a declared ``schema`` the plan is run through the static
         type checker and optimized (dead stages relayed, statically
-        empty plans collapsed); ``optimize=False`` is the escape hatch
-        returning the plan exactly as compiled — the differential
-        tests compare the two paths byte for byte.
+        empty plans collapsed).  Every optimized plan then gets its
+        consumer demand installed (:func:`repro.core.demand.
+        apply_demand`): descendant steps, tees and backward joins copy
+        only what downstream stages read.  ``optimize=False`` is the
+        escape hatch returning the plan exactly as compiled — the
+        differential tests compare the two paths byte for byte.
         """
         compiler = Compiler(ctx=Context(), source_id=0,
                             mutable_source=self.mutable_source
@@ -791,6 +797,7 @@ class XFlux:
         if self.schema is not None or optimize:
             from ..analysis.types import optimize_plan
             plan = optimize_plan(plan, schema=self.schema)
+        apply_demand(plan)
         return plan
 
     def start(self, on_change: Optional[Callable[[Event, Display],

@@ -1,0 +1,589 @@
+"""Consumer-demand pruning (repro.core.demand).
+
+The contract: a plan compiled with its demand installed (the default
+``XFlux.compile()``) shows answers *byte-identical* to the unpruned
+reference ``compile(optimize=False)`` — the pruning may only change how
+many copies of an event the copying stages (``//``, tees, the backward
+join) emit, never what any stage reads.  Checked for Q1-Q9 and edge
+shapes on every executor path: interpreted and fused, sanitized,
+multiplexed with prefix sharing on and off, sharded, checkpointed
+mid-stream and recovered from a crashed durable run.
+
+Also here: the O(1) display peak counters against the region-tree walk,
+and the wrapper's freeze-time pruning of its nesting maps against an
+unpruned twin.
+"""
+
+from __future__ import annotations
+
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from io import StringIO
+
+import pytest
+
+from repro.bench.harness import PAPER_QUERIES, QUERY_DATASET
+from repro.cli import main as cli_main
+from repro.core import display as display_mod
+from repro.core.demand import (SHELLS, WHOLE_ITEMS, Demand,
+                               DemandMatcher, derive_demand)
+from repro.core.transformer import Context, StateTransformer
+from repro.core.wrapper import UpdateWrapper
+from repro.data import DBLPGenerator, XMarkGenerator
+from repro.data.stock import StockTicker
+from repro.events.model import (SS, Event, cdata, end_mutable, freeze,
+                                start_mutable)
+from repro.fault.recover import recover
+from repro.operators import AncestorJoin, DescendantStep, Tee
+from repro.parallel import ShardedMultiQueryRun
+from repro.xmlio.tokenizer import tokenize
+from repro.xquery.engine import MultiQueryRun, QueryRun, XFlux
+
+from tests.conftest import AUCTION_XML, RECURSIVE_XML
+
+#: Edge shapes beyond the paper queries (dataset handle "X": XMark).
+#: Positional predicates and ``[. = "x"]`` are outside the parser's
+#: subset; the where-clause ``$l = "..."`` is the same context-item
+#: comparison (a condition reading whole items).
+EDGE_QUERIES = {
+    "cmp": 'X//item[quantity > 3]/location',
+    "self_cmp": ('for $l in X//location where $l = "Albania" '
+                 'return $l'),
+    "desc_cond": 'X//regions[europe//location = "Albania"]//quantity',
+    "star_star": 'X//*//*',
+    "count_star_star": 'count(X//*//*)',
+    "count_star": 'count(X//*)',
+    "sum": 'sum(X//item/quantity)',
+    "text": 'X//item/location/text()',
+    "parent": 'X//location/..',
+    "count_parent": 'count(X//quantity/..)',
+    "ancestor": 'X//quantity/ancestor::*',
+    "ancestor_tag": 'count(X//location/ancestor::europe)',
+    "flwor_literal": ('for $i in X//item where $i/location = "Albania" '
+                      'order by $i/quantity '
+                      'return ("q:", $i/quantity/text(), "\\n")'),
+    "flwor_const": ('for $i in X//item where $i/payment = "Cash" '
+                    'return "hit"'),
+}
+
+#: Recursive documents exercise nested matches (``//*`` in ``//*``).
+RECURSIVE_QUERIES = {
+    "part_star": 'R//part//*',
+    "part_part": 'R//part//part',
+    "count_part": 'count(R//*//part)',
+    "part_text": 'R//part/text()',
+    "part_anc": 'R//part/ancestor::part',
+    "part_cond": 'R//part[x = "1"]/w',
+}
+
+#: Matches nested inside subtrees an enclosing match skips, with the
+#: condition child *after* the skipped one: every open level skips at
+#: once, and each skip must end exactly where its own subtree does.
+NESTED_XML = ("<part><y><part><y><z>t</z></y><x>1</x><w>a</w></part>"
+              "<w>q</w></y><x>1</x><w>b</w></part>"
+              "<part><x>2</x><w>c</w></part>")
+
+ALL_QUERIES = dict(PAPER_QUERIES, **EDGE_QUERIES, **RECURSIVE_QUERIES)
+
+
+def _dataset(name):
+    if name in RECURSIVE_QUERIES:
+        return "R"
+    return QUERY_DATASET.get(name, "X")
+
+
+@pytest.fixture(scope="module")
+def docs():
+    return {
+        1: {"X": XMarkGenerator(scale=0.02, seed=1).text(),
+            "D": DBLPGenerator(scale=0.02, seed=1).text(),
+            "R": RECURSIVE_XML},
+        7: {"X": XMarkGenerator(scale=0.02, seed=7,
+                                albania_fraction=0.25).text(),
+            "D": DBLPGenerator(scale=0.02, seed=7,
+                               smith_fraction=0.15).text(),
+            "R": "<r>" + RECURSIVE_XML * 3 + NESTED_XML + "</r>"},
+    }
+
+
+def _events(text, plan):
+    return tokenize(text, stream_id=plan.source_id,
+                    emit_oids=plan.needs_oids)
+
+
+def _run(query, text, optimize=None, **kwargs):
+    plan = XFlux(query).compile(optimize=optimize)
+    run = QueryRun(plan, **kwargs)
+    run.feed_all(_events(text, plan))
+    return run.finish()
+
+
+@pytest.fixture(scope="module")
+def reference(docs):
+    """The unpruned, interpreted, unsanitized answer of every query."""
+    return {(name, seed): _run(query, docs[seed][_dataset(name)],
+                               optimize=False, fuse=False,
+                               sanitize=False).text()
+            for name, query in ALL_QUERIES.items() for seed in docs}
+
+
+# -- the differential matrix -----------------------------------------------
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name", sorted(ALL_QUERIES))
+@pytest.mark.parametrize("fuse", [False, True], ids=["interp", "fused"])
+def test_pruned_matches_reference(name, seed, fuse, docs, reference):
+    run = _run(ALL_QUERIES[name], docs[seed][_dataset(name)], fuse=fuse,
+               sanitize=False)
+    assert run.plan.demand is not None
+    assert run.text() == reference[(name, seed)]
+
+
+@pytest.mark.parametrize("name", sorted(ALL_QUERIES))
+def test_pruned_matches_reference_sanitized(name, docs, reference):
+    # The boundary checkers see every stage's pruned output: each must
+    # still be a valid update stream on its own.
+    run = _run(ALL_QUERIES[name], docs[7][_dataset(name)], sanitize=True)
+    assert run.text() == reference[(name, 7)]
+
+
+@pytest.mark.parametrize("name", ["Q3", "Q4", "Q7", "Q9", "star_star",
+                                  "part_star", "part_anc"])
+def test_pruned_matches_reference_always_active(name, docs, reference):
+    # Every wrapper pays full region bookkeeping from the first event,
+    # so the demand cursors ride through per-region state copies.
+    run = _run(ALL_QUERIES[name], docs[1][_dataset(name)],
+               always_active=True)
+    assert run.text() == reference[(name, 1)]
+
+
+def _dataset_groups():
+    groups = {}
+    for name in sorted(ALL_QUERIES):
+        groups.setdefault(_dataset(name), []).append(name)
+    return sorted(groups.items())
+
+
+@pytest.mark.parametrize("share", [False, True], ids=["solo", "shared"])
+def test_multiquery_matches_reference(share, docs, reference):
+    for dataset, names in _dataset_groups():
+        mq = MultiQueryRun([ALL_QUERIES[n] for n in names],
+                           share_prefixes=share)
+        mq.run_xml(docs[1][dataset])
+        assert mq.texts() == [reference[(n, 1)] for n in names], dataset
+        assert mq.statuses() == ["ok"] * len(names)
+
+
+def test_shared_prefix_gets_union_demand():
+    mq = MultiQueryRun([PAPER_QUERIES[n] for n in ("Q1", "Q2", "Q3",
+                                                   "Q4", "Q7")],
+                       share_prefixes=True, sanitize=False,
+                       metrics=False, flight=False)
+    assert mq.groups
+    for group in mq.groups:
+        copiers = [w.t for w in group.pipeline.wrappers
+                   if isinstance(w.t, (DescendantStep, Tee))]
+        assert copiers
+        # The prefix delivers the union of what its members read: some
+        # copy is cut, none is cut below a member's own demand (the
+        # answers above hold that part).
+        assert any(_prunes(t) for t in copiers)
+
+
+def _prunes(stage):
+    """Does a copying stage drop anything from its outputs?"""
+    if isinstance(stage, Tee):
+        return stage._pass is not None or stage._copy is not None
+    return (stage._dm is not None or not stage._inner
+            or not stage._text)
+
+
+def test_sharded_matches_reference(docs, reference):
+    names = ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "star_star",
+             "parent", "flwor_literal"]
+    smq = ShardedMultiQueryRun([ALL_QUERIES[n] for n in names],
+                               workers=2)
+    smq.run_xml(docs[7]["X"])
+    assert smq.texts() == [reference[(n, 7)] for n in names]
+
+
+@pytest.mark.parametrize("name", ["Q1", "Q3", "Q4", "Q6", "Q7", "Q9",
+                                  "star_star", "ancestor", "part_star"])
+@pytest.mark.parametrize("fuse", [False, True], ids=["interp", "fused"])
+def test_checkpoint_mid_stream(name, fuse, docs, reference):
+    text = docs[1][_dataset(name)]
+    query = ALL_QUERIES[name]
+    plan = XFlux(query).compile()
+    events = list(_events(text, plan))
+    cuts = [len(events) // 3, (2 * len(events)) // 3]
+    run = QueryRun(plan, fuse=fuse)
+    fed = 0
+    for cut in cuts:
+        run.feed_all(events[fed:cut])
+        fed = cut
+        blob = run.checkpoint()
+        # Restore into a fresh compile: the demand cursors and the
+        # per-level filter state must come back with the pipeline.
+        run = QueryRun(XFlux(query).compile(), fuse=fuse).restore(blob)
+    run.feed_all(events[fed:])
+    run.finish()
+    assert run.text() == reference[(name, 1)]
+
+
+_CTX = multiprocessing.get_context("fork")
+
+
+def _crash_durable(wal_dir, queries, text, crash_after):
+    os.setpgrp()
+    MultiQueryRun(queries).run_xml(
+        text, durable=wal_dir, batch_events=64, checkpoint_every=3,
+        checkpoint_cost_factor=0.0, crash_after_frames=crash_after)
+
+
+@pytest.mark.parametrize("dataset", ["X", "D"])
+def test_durable_recovery_matches_reference(dataset, docs, reference,
+                                            tmp_path):
+    names = [n for n in sorted(ALL_QUERIES) if _dataset(n) == dataset]
+    text = docs[7][dataset]
+    wal_dir = str(tmp_path / "wal")
+    proc = _CTX.Process(target=_crash_durable,
+                        args=(wal_dir, [ALL_QUERIES[n] for n in names],
+                              text, 7))
+    proc.start()
+    proc.join(60)
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except (OSError, ProcessLookupError):
+        pass
+    assert proc.exitcode == -signal.SIGKILL
+    result = recover(wal_dir, text=text)
+    assert result.frames_replayed > 0
+    assert result.texts == [reference[(n, 7)] for n in names]
+
+
+# -- the derivation ----------------------------------------------------------
+
+def _stage_demands(query):
+    return derive_demand(XFlux(query).compile()).to_dict()["stages"]
+
+
+def test_q3_demand_pinned():
+    assert _stage_demands(PAPER_QUERIES["Q3"]) == [
+        {"reads": {"0": "shell, .//*/location=whole, "
+                        ".//*/quantity=whole"},
+         "emits": {"1000": "shell, ./location=whole, ./quantity=whole"}},
+        {"reads": {"1000": "shell, ./location=whole, ./quantity=whole"},
+         "emits": {"1001": "shell, ./quantity=whole"}},
+        {"reads": {"1001": "shell, ./quantity=whole"},
+         "emits": {"1006": "whole"}},
+    ]
+
+
+def test_q4_demand_pinned():
+    assert _stage_demands(PAPER_QUERIES["Q4"]) == [
+        # The clone keeps shells only: the parent join reads child
+        # shells of each candidate, count() reads candidate shells.
+        {"reads": {"0": "shell, .//*/*=shell, .//item/location=whole"},
+         "emits": {"0": "shell, .//item/location=whole",
+                   "1006": "shell, .//*/*=shell"}},
+        {"reads": {"0": "shell, .//item/location=whole"},
+         "emits": {"1000": "shell, ./location=whole"}},
+        {"reads": {"1000": "shell, ./location=whole"},
+         "emits": {"1001": "shell"}},
+        {"reads": {"1006": "shell, .//*/*=shell"},
+         "emits": {"1007": "shell, ./*=shell"}},
+        {"reads": {"1001": "shell", "1007": "shell, ./*=shell"},
+         "emits": {"1008": "shell"}},
+        {"reads": {"1008": "shell"}, "emits": {"1009": "whole"}},
+    ]
+
+
+@pytest.mark.parametrize("name", ["Q7", "Q9"])
+def test_unread_tee_branch_is_not_emitted(name, docs):
+    plan = XFlux(PAPER_QUERIES[name]).compile()
+    tees = [s for s in plan.stages if isinstance(s, Tee)]
+    # The last tee of the loop variable feeds nothing after it.
+    assert plan.demand.outputs[plan.stages.index(tees[-1])][
+        tees[-1].input_ids[0]].empty
+    text = docs[1][QUERY_DATASET[name]]
+    pruned = _run(PAPER_QUERIES[name], text)
+    full = _run(PAPER_QUERIES[name], text, optimize=False)
+    assert pruned.text() == full.text()
+    assert pruned.display.events_seen < full.display.events_seen
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
+def test_mutable_source_plans_are_universal(name):
+    plan = XFlux(PAPER_QUERIES[name], mutable_source=True).compile()
+    assert plan.demand.universal
+    assert "mutable" in plan.demand.reason
+    for stage in plan.stages:
+        if isinstance(stage, (DescendantStep, AncestorJoin, Tee)):
+            assert not _prunes(stage), stage
+
+
+def test_unoptimized_plan_is_the_unpruned_reference():
+    plan = XFlux(PAPER_QUERIES["Q4"]).compile(optimize=False)
+    assert plan.demand is None
+    assert not any(_prunes(s) for s in plan.stages
+                   if isinstance(s, (DescendantStep, AncestorJoin, Tee)))
+
+
+@pytest.mark.parametrize("name", ["Q3", "Q4"])
+def test_calls_per_event_fall(name, docs):
+    text = docs[1]["X"]
+    pruned = _run(PAPER_QUERIES[name], text, fuse=False, sanitize=False)
+    full = _run(PAPER_QUERIES[name], text, optimize=False, fuse=False,
+                sanitize=False)
+    assert pruned.text() == full.text()
+    assert (pruned.stats()["transformer_calls"]
+            < 0.5 * full.stats()["transformer_calls"])
+
+
+class TestLattice:
+    def test_union_and_top(self):
+        a = Demand([(((("child", "a"),)), "whole")])
+        assert (a | WHOLE_ITEMS).whole
+        assert (a | Demand()) == a
+        assert Demand().empty
+
+    def test_normalization(self):
+        d = Demand([((("child", "a"),), "shell"),
+                    ((("child", "a"), ("child", "b")), "whole"),
+                    ((("child", "a"), ("child", "b"), ("child", "c")),
+                     "text"),
+                    ((), "shell")])
+        assert d.describe() == "shell, ./a/b=whole"
+
+    def test_matcher_verdicts(self):
+        m = DemandMatcher(Demand([((("child", "a"),), "whole"),
+                                  ((("descendant", "b"),), "text")]))
+        root = m.initial
+        assert m.step(root, "a") == 1          # KEEP: whole subtree
+        assert m.step(root, "z") > 1           # spine: //b may follow
+        b = m.step(root, "b")
+        assert m.text[b] and not m.text[root]
+        shells = DemandMatcher(SHELLS)
+        assert shells.step(shells.initial, "x") == 0   # SKIP
+
+
+# -- observability -------------------------------------------------------------
+
+def test_analyze_text_prints_q3_demand():
+    out, err = StringIO(), StringIO()
+    assert cli_main(["analyze", "Q3"], out=out, err=err) == 0
+    lines = [ln.strip() for ln in out.getvalue().splitlines()
+             if ln.strip().startswith("demand:")]
+    assert lines == [
+        "demand: reads [0] shell, .//*/location=whole, "
+        ".//*/quantity=whole; emits [1000] shell, ./location=whole, "
+        "./quantity=whole",
+        "demand: reads [1000] shell, ./location=whole, "
+        "./quantity=whole; emits [1001] shell, ./quantity=whole",
+        "demand: reads [1001] shell, ./quantity=whole; emits [1006] "
+        "whole",
+    ]
+
+
+def test_analyze_json_prints_q3_demand():
+    out, err = StringIO(), StringIO()
+    assert cli_main(["analyze", "Q3", "--json"], out=out, err=err) == 0
+    payload = json.loads(out.getvalue())
+    assert payload["demand"] == {"universal": False}
+    assert [s["demand"] for s in payload["stages"]] == \
+        _stage_demands(PAPER_QUERIES["Q3"])
+
+
+def test_analyze_reports_universal_demand_for_mutable_sources():
+    out, err = StringIO(), StringIO()
+    assert cli_main(["analyze", "stream()//quote/price",
+                     "--mutable-source"], out=out, err=err) == 0
+    assert "demand: universal (mutable update source" in out.getvalue()
+
+
+def test_compile_does_not_import_the_analysis_package():
+    code = ("import sys; from repro import XFlux; "
+            "[XFlux(q).compile() for q in {!r}]; "
+            "bad = sorted(m for m in sys.modules "
+            "if m.startswith('repro.analysis')); "
+            "print(bad); sys.exit(1 if bad else 0)"
+            .format(list(PAPER_QUERIES.values())))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.pop("REPRO_SANITIZE", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# -- display peaks: O(1) counters against the tree walk ----------------------
+
+class _CheckedDisplay(display_mod.Display):
+    """A display asserting the live totals equal the walk after each event."""
+
+    checked = 0
+
+    def process(self, e):
+        super().process(e)
+        walk = self.tree.stats()
+        assert (self.tree.n_regions, self.tree.n_events) == \
+            (walk["regions"], walk["events"]), e
+        _CheckedDisplay.checked += 1
+
+
+class _WalkDisplay(display_mod.Display):
+    """The pre-counter peak sampler: walk the region tree."""
+
+    def _sample_peaks(self):
+        stats = self.tree.stats()
+        self.peak_regions = max(self.peak_regions, stats["regions"])
+        self.peak_events = max(self.peak_events, stats["events"])
+
+
+def _run_with_display(display_cls, query, events, mutable=False):
+    # Interpreted: the fused driver binds the sink it was built with.
+    run = XFlux(query, mutable_source=mutable).start(fuse=False)
+    display = display_cls(run.plan.result_id)
+    run.pipeline.sink = run.display = display
+    for e in events:
+        run.feed(e)
+    run.finish()
+    return display
+
+
+@pytest.mark.parametrize("name", sorted(ALL_QUERIES))
+def test_region_counters_match_walk(name):
+    text = RECURSIVE_XML if _dataset(name) == "R" else AUCTION_XML
+    plan = XFlux(ALL_QUERIES[name]).compile()
+    _CheckedDisplay.checked = 0
+    _run_with_display(_CheckedDisplay, ALL_QUERIES[name],
+                      _events(text, plan))
+    assert _CheckedDisplay.checked > 0
+
+
+@pytest.mark.parametrize("query", [
+    'stream()//quote[name="IBM"]/price',
+    'count(stream()//quote[name="IBM"])',
+    'sum(stream()//quote/price)',
+])
+def test_region_counters_match_walk_under_updates(query):
+    events = StockTicker(n_updates=150, name_update_fraction=0.2,
+                         mutable_names=True, seed=3).events()
+    _run_with_display(_CheckedDisplay, query, events, mutable=True)
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
+def test_peaks_equal_walk_sampling(name, docs):
+    text = docs[1][QUERY_DATASET[name]]
+    plan = XFlux(PAPER_QUERIES[name]).compile()
+    events = list(_events(text, plan))
+    fast = _run_with_display(display_mod.Display, PAPER_QUERIES[name],
+                             events)
+    walk = _run_with_display(_WalkDisplay, PAPER_QUERIES[name], events)
+    assert (fast.peak_regions, fast.peak_events) == \
+        (walk.peak_regions, walk.peak_events)
+
+
+# -- wrapper nesting maps: pruned on freeze, answers unchanged -----------------
+
+@pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
+def test_wrapper_maps_hold_live_regions_only(name, docs):
+    run = _run(PAPER_QUERIES[name], docs[1][QUERY_DATASET[name]])
+    for w in run.pipeline.wrappers:
+        assert set(w._parent) <= w._regions, w
+        assert set(w._chain_cache) <= w._regions, w
+        assert set(w._children) <= w._regions, w
+
+
+def _ticker_runs(n_updates, prune=True):
+    events = StockTicker(n_updates=n_updates, name_update_fraction=0.1,
+                         mutable_names=True, seed=5).events()
+    mq = MultiQueryRun(['stream()//quote[name="IBM"]/price',
+                        'count(stream()//quote[name="IBM"])'],
+                       mutable_source=True)
+    if not prune:
+        for run in mq.runs:
+            for w in run.pipeline.wrappers:
+                w._unlink_parent = _keep_links
+    return mq, events
+
+
+def _keep_links(uid):
+    """The pre-pruning freeze: nesting links are never dropped."""
+
+
+def _map_sizes(mq):
+    return sum(len(w._parent) + len(w._chain_cache)
+               for run in mq.runs for w in run.pipeline.wrappers)
+
+
+def test_wrapper_maps_do_not_grow_with_stream_length():
+    sizes = []
+    for n in (200, 800):
+        mq, events = _ticker_runs(n)
+        for e in events[:-2]:       # stream still open, as a ticker is
+            mq.feed(e)
+        live = sum(len(w._regions) for run in mq.runs
+                   for w in run.pipeline.wrappers)
+        assert _map_sizes(mq) <= 2 * live
+        sizes.append(_map_sizes(mq))
+    unpruned, events = _ticker_runs(800, prune=False)
+    for e in events[:-2]:
+        unpruned.feed(e)
+    assert sizes[1] < _map_sizes(unpruned)
+
+
+def test_wrapper_map_pruning_keeps_live_answers():
+    pruned, events = _ticker_runs(300)
+    full, _ = _ticker_runs(300, prune=False)
+    for i, e in enumerate(events):
+        pruned.feed(e)
+        full.feed(e)
+        if i % 97:
+            continue
+        for rp, rf in zip(pruned.runs, full.runs):
+            for wp, wf in zip(rp.pipeline.wrappers, rf.pipeline.wrappers):
+                assert wp._regions == wf._regions
+                for r in wp._regions:
+                    assert wp._region_chain(r) == wf._region_chain(r)
+                    assert wp._hidden_anchor(r) == wf._hidden_anchor(r)
+                    assert wp._nearest_open(r) == wf._nearest_open(r)
+    pruned.finish()
+    full.finish()
+    assert pruned.texts() == full.texts()
+
+
+class _ChainProbe(StateTransformer):
+    """Records the region chain the wrapper hands each data event."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx, (0,), 1)
+        self.seen = []
+
+    def process(self, e):
+        self.seen.append((e.id, tuple(self.current_region_chain)))
+        return [e.relabel(1)]
+
+
+def test_region_chain_survives_frozen_ancestor():
+    # Region 11 nests in 10; 10 freezes before any data reaches 11, and
+    # 12 then opens inside 11.  The chains must list 10 exactly as if
+    # the nesting links had never been pruned.
+    ctx = Context()
+    probe = _ChainProbe(ctx)
+    w = UpdateWrapper(probe, always_active=True)
+    for e in [Event(SS, 0), start_mutable(0, 10), start_mutable(10, 11),
+              end_mutable(10, 11), end_mutable(0, 10), freeze(10),
+              start_mutable(11, 12), cdata(12, "x"), cdata(11, "y"),
+              end_mutable(11, 12)]:
+        w.dispatch(e)
+    assert [s for s in probe.seen if s[0] != 0] == \
+        [(12, (12, 11, 10)), (11, (11, 10))]
+    assert 10 not in w._parent and 10 not in w._chain_cache
