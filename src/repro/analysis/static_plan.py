@@ -490,6 +490,9 @@ def render_report(report: PlanReport) -> str:
         if notes:
             lines.append("    note: {}".format(notes))
         lines.append("    demand: {}".format(_demand_line(report, sr.index)))
+        if sr.index in report.demand.lazy:
+            lines.append("    lazy: a match is emitted once it holds an "
+                         "event its consumer reads (until an update arrives)")
     if report.demand.universal:
         lines.append("demand: universal ({})".format(report.demand.reason))
     lines.append("static fix map after a complete run:")
@@ -573,6 +576,7 @@ def report_to_dict(report: PlanReport) -> dict:
             "notes": sr.facts.get("notes"),
             "lints": list(sr.lints),
             "demand": demand_stages[sr.index],
+            "lazy": sr.index in report.demand.lazy,
         })
     return {
         "plan": {

@@ -28,6 +28,14 @@ empty set means the stream is not read at all; the entry ``((), whole)``
 means whole items — the top of the lattice, and the universal fallback.
 Union is set union.
 
+A demand also carries a **rooted** bit.  Items are *rooted* when some
+consumer observes each item itself — the display, ``count``/``sum``,
+FLWOR ``for``, the backward join, any stage declaring nothing — and
+*content-only* when consumers read them only through what lies below,
+as child and descendant steps do.  A filter and plumbing take their
+consumer's bit, a stage may declare its input rooted (``"rooted":
+True`` in its demand fact), and a union is rooted if either side is.
+
 **The pass.**  :func:`derive_demand` walks a compiled plan backward from
 the display (which reads its result stream whole), using each stage's
 ``static_facts()`` as its transfer function: the optional ``"demand"``
@@ -42,9 +50,15 @@ regions, so no path argument is sound (the same rule as
 (``DescendantStep``, ``Tee``, ``AncestorJoin``) the demand on its
 output(s); the stage compiles it into a :class:`DemandMatcher` and emits
 a per-item copy of an event only when a cursor over that matcher keeps
-it.  Update events are never filtered, so the update brackets — and with
-them every region id and the fix map — are exactly those of the unpruned
-plan; only element content inside items shrinks.
+it.  Tees and the join never filter update events, so their brackets —
+and with them region ids and the fix map — are those of the unpruned
+plan; only element content inside items shrinks.  A descendant step
+whose output is content-only (:func:`defers`) goes further: until the
+first update event reaches the stage, each match holds back its bracket
+and opening tag until it keeps something, and a match that keeps
+nothing emits nothing at all, brackets included (see
+:mod:`repro.operators.descendant`).  A consumer that reads items only
+through their content cannot tell such a match from no match.
 """
 
 from __future__ import annotations
@@ -88,12 +102,17 @@ def format_path(path: Path) -> str:
 class Demand:
     """What consumers read of each item of one stream (see module doc)."""
 
-    __slots__ = ("entries", "whole")
+    __slots__ = ("entries", "whole", "rooted")
 
-    def __init__(self, entries: Iterable[Tuple[Path, str]] = ()) -> None:
+    def __init__(self, entries: Iterable[Tuple[Path, str]] = (),
+                 rooted: bool = True) -> None:
         self.entries: FrozenSet[Tuple[Path, str]] = _normalize(entries)
         #: Whole items are read (the universal demand: no pruning).
         self.whole = ((), WHOLE) in self.entries
+        #: Some consumer observes each item itself (False: items are read
+        #: only through what lies below them).  An unread stream is never
+        #: rooted, so :data:`NOTHING` is the identity of the union.
+        self.rooted = bool(rooted and self.entries)
 
     @property
     def empty(self) -> bool:
@@ -101,30 +120,45 @@ class Demand:
         return not self.entries
 
     def __or__(self, other: "Demand") -> "Demand":
-        if self.whole or other.empty:
+        if other.empty:
             return self
-        if other.whole or self.empty:
+        if self.empty:
             return other
-        return Demand(self.entries | other.entries)
+        rooted = self.rooted or other.rooted
+        if self.whole and self.rooted == rooted:
+            return self
+        if other.whole and other.rooted == rooted:
+            return other
+        return Demand(self.entries | other.entries, rooted)
+
+    def rooted_as(self, rooted: bool) -> "Demand":
+        """The same entries with the given rooted bit."""
+        if self.rooted == bool(rooted and self.entries):
+            return self
+        return Demand(self.entries, rooted)
 
     def below(self, step: Step) -> "Demand":
         """The input demand of a navigation step whose output reads this.
 
         Each output item is the step's target element, so the input item
         must keep that element's shell plus everything read inside it.
+        The step observes its input items only through those targets, so
+        the result is content-only whatever this demand's bit.
         """
         if self.empty:
             return self
         return Demand([((step,), SHELL)]
                       + [((step,) + path, mode)
-                         for path, mode in self.entries])
+                         for path, mode in self.entries], rooted=False)
 
     def describe(self) -> str:
-        """``whole``, ``none``, or the item shell plus the entries read."""
-        if self.whole:
-            return "whole"
+        """``none``, or the rooted bit then ``whole`` or the item shell
+        plus the entries read (``rooted: shell, ./a=whole``)."""
         if self.empty:
             return "none"
+        bit = "rooted: " if self.rooted else "content-only: "
+        if self.whole:
+            return bit + "whole"
         parts = ["shell"]
         for path, mode in sorted(self.entries,
                                  key=lambda pm: (len(pm[0]),
@@ -133,13 +167,14 @@ class Demand:
                 continue
             parts.append("{}={}".format(
                 "." + format_path(path) if path else ".", mode))
-        return ", ".join(parts)
+        return bit + ", ".join(parts)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Demand) and self.entries == other.entries
+        return (isinstance(other, Demand) and self.entries == other.entries
+                and self.rooted == other.rooted)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.entries, self.rooted))
 
     def __repr__(self) -> str:
         return "Demand({})".format(self.describe())
@@ -292,6 +327,17 @@ def matcher_for(demand: Optional[Demand]) -> Optional[DemandMatcher]:
     return DemandMatcher(SHELLS if demand.empty else demand)
 
 
+def defers(demand: Optional[Demand]) -> bool:
+    """May a ``//`` step with this output demand hold matches back?
+
+    True when the output is pruned and content-only: a match that keeps
+    nothing its consumers read is unobservable, so it need not be
+    emitted at all (see :class:`~repro.operators.DescendantStep`).
+    """
+    return (demand is not None and not demand.whole
+            and not demand.rooted)
+
+
 def advance(m: DemandMatcher, cur: tuple, kind: int, tag: Optional[str],
             depth: int) -> Tuple[bool, tuple]:
     """Feed one sE/eE/cD strictly inside an item to a cursor.
@@ -324,16 +370,19 @@ class PlanDemand:
     downstream stages (and the display) place on it at that position;
     ``inputs[i]`` maps each stream stage ``i`` reads to the demand the
     stage itself places on it.  ``universal`` plans prune nothing;
-    ``reason`` says why.
+    ``reason`` says why.  ``lazy`` lists the descendant steps whose
+    content-only output lets them defer levels (:func:`defers`).
     """
 
     def __init__(self, outputs: List[Dict[int, Demand]],
                  inputs: List[Dict[int, Demand]],
                  sources: Dict[int, Demand],
                  universal: bool = False,
-                 reason: Optional[str] = None) -> None:
+                 reason: Optional[str] = None,
+                 lazy: Tuple[int, ...] = ()) -> None:
         self.outputs = outputs
         self.inputs = inputs
+        self.lazy = lazy
         #: What the plan reads of every stream it does not produce
         #: itself (the source, or a shared prefix's output streams).
         self.sources = sources
@@ -344,6 +393,7 @@ class PlanDemand:
         out: dict = {"universal": self.universal}
         if self.reason:
             out["reason"] = self.reason
+        out["lazy"] = list(self.lazy)
         out["stages"] = [
             {"reads": {str(k): d.describe() for k, d in ins.items()},
              "emits": {str(k): d.describe() for k, d in outs.items()}}
@@ -361,8 +411,11 @@ def _spec(stage) -> dict:
 
 def _backward(stages, sinks: Dict[int, Demand]) -> Tuple[
         Dict[int, Demand], List[Dict[int, Demand]],
-        List[Dict[int, Demand]]]:
-    """Walk ``stages`` sink-first; returns (source-side demand, outs, ins).
+        List[Dict[int, Demand]], Tuple[int, ...]]:
+    """Walk ``stages`` sink-first.
+
+    Returns (source-side demand, outs, ins, the indices of the
+    descendant steps that defer levels).
 
     ``sinks`` is what the pipeline's sink reads (the display: the result
     stream, whole).  ``demand[s]`` is what the stages after the current
@@ -374,6 +427,7 @@ def _backward(stages, sinks: Dict[int, Demand]) -> Tuple[
     demand: Dict[int, Demand] = dict(sinks)
     outs: List[Dict[int, Demand]] = [{} for _ in stages]
     ins: List[Dict[int, Demand]] = [{} for _ in stages]
+    lazy: List[int] = []
     for idx in range(len(stages) - 1, -1, -1):
         stage = stages[idx]
         spec = _spec(stage)
@@ -387,9 +441,15 @@ def _backward(stages, sinks: Dict[int, Demand]) -> Tuple[
         else:
             outs[idx] = {stage.output_id: d_out}
             ins[idx] = _input_demand(stage, spec, kind, d_out)
+            if spec.get("rooted"):
+                ins[idx] = {i: d.rooted_as(True)
+                            for i, d in ins[idx].items()}
+            if (kind == "step" and spec.get("axis") == DESCENDANT
+                    and defers(d_out)):
+                lazy.append(idx)
         for sid, d in ins[idx].items():
             demand[sid] = demand.get(sid, NOTHING) | d
-    return demand, outs, ins
+    return demand, outs, ins, tuple(reversed(lazy))
 
 
 def _input_demand(stage, spec: dict, kind: Optional[str],
@@ -402,15 +462,18 @@ def _input_demand(stage, spec: dict, kind: Optional[str],
         d = d_out.below((spec["axis"], spec.get("tag")))
         return {i: d for i in inputs}
     if kind == "plumbing":
-        return {i: d_out for i in inputs}
+        return {i: d_out for i in inputs}   # the consumer's bit, too
     if kind == "shell":
         return {i: SHELLS for i in inputs}
     if kind == "text":
         return {i: TEXTS for i in inputs}
     if kind == "filter":
+        # An item the filter passes is observed as its consumer observes
+        # it, so the filter takes its consumer's rooted bit.
         d = d_out | SHELLS
         for cond in getattr(stage, "conditions", ()):
             d = d | condition_demand(cond)
+        d = d.rooted_as(d_out.rooted)
         return {i: d for i in inputs}
     if kind == "join":
         axis = CHILD if spec.get("direct") else DESCENDANT
@@ -431,7 +494,7 @@ def condition_demand(cond) -> Demand:
     stages = getattr(cond, "stages", None)
     if not stages:
         return WHOLE_ITEMS
-    demand, _, _ = _backward(stages, {cond.output_id: WHOLE_ITEMS})
+    demand = _backward(stages, {cond.output_id: WHOLE_ITEMS})[0]
     return demand.get(cond.input_id, WHOLE_ITEMS)
 
 
@@ -454,11 +517,11 @@ def derive_demand(plan, sinks: Optional[Dict[int, Demand]] = None
             reason="mutable update source: sM/sR/sB/sA brackets can "
                    "re-parent regions, so no static path argument is "
                    "sound")
-    demand, outs, ins = _backward(plan.stages, sinks)
+    demand, outs, ins, lazy = _backward(plan.stages, sinks)
     produced = {s.output_id for s in plan.stages}
     sources = {sid: d for sid, d in demand.items()
                if sid not in produced}
-    return PlanDemand(outs, ins, sources)
+    return PlanDemand(outs, ins, sources, lazy=lazy)
 
 
 def apply_demand(plan, sinks: Optional[Dict[int, Demand]] = None

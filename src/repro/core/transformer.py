@@ -282,6 +282,16 @@ class StateTransformer:
         """Called once when the global stream ends (flush hook)."""
         return []
 
+    def on_activate(self) -> List[Event]:
+        """Hook: the first update event reaches the stage (may emit events).
+
+        Called once, before the wrapper handles the first update event
+        that reaches the stage (always-active wrappers included).  From
+        then on what the stage emits may be relabelled into update
+        regions, so a stage that held output back emits it here.
+        """
+        return []
+
     # -- state cloning for the wrapper ---------------------------------------
 
     def get_state(self) -> State:

@@ -126,8 +126,11 @@ class UpdateWrapper:
     The first update event permanently activates the full path; the
     transition is lossless because the dormant path maintains exactly the
     invariants the active path expects (live state loaded, ``start[LIVE]``
-    holding the construction-time snapshot).  ``always_active=True``
-    disables the fast path (used by differential tests).
+    holding the construction-time snapshot).  Before handling that event
+    the wrapper calls the transformer's ``on_activate`` hook, which emits
+    anything the stage held back until then (a lazy ``//``'s levels).
+    ``always_active=True`` disables the fast path (used by differential
+    tests).
     """
 
     #: Optional telemetry sink (a :class:`repro.obs.StageMetrics`),
@@ -154,7 +157,6 @@ class UpdateWrapper:
         self._shared: set = set()      # SHARED-policy regions: live state
         self._root: Dict[int, int] = {}        # region -> root input stream
         self._out_region: Dict[int, int] = {}  # region -> output-space id
-        self._anchor_at_open: Dict[int, int] = {}  # region -> anchor then
         # region -> (j_out, (output_id, anchor), translate?) — everything
         # _relabel_out needs, precomputed once at bracket open.
         self._region_info: Dict[int, tuple] = {}
@@ -174,6 +176,10 @@ class UpdateWrapper:
         self.calls = 0
         self.peak_states = 1
         self._dormant = not always_active
+        #: No update event has reached the stage yet: its transformer
+        #: may hold output back (see ``on_activate``).  The dormant fast
+        #: path implies it; an always-active wrapper starts with it too.
+        self._awaiting_update = True
         #: Section V reclamation switch: with ``reclaim_on_freeze=False``
         #: a freeze still forwards, still fixes the mutability map, but
         #: keeps the region's state copies resident (the bench memory
@@ -275,10 +281,10 @@ class UpdateWrapper:
 
     def _build_handler_table(self) -> List:
         """Kind-indexed handler list (one entry per ``Kind`` value)."""
-        if self._dormant:
-            return ([self._dormant_data] * _FIRST_UPDATE
-                    + [self._activate_on] * (_N_KINDS - _FIRST_UPDATE))
-        h: List = [self._active_data] * _FIRST_UPDATE
+        h: List = [self._dormant_data if self._dormant
+                   else self._active_data] * _FIRST_UPDATE
+        if self._awaiting_update:
+            return h + [self._activate_on] * (_N_KINDS - _FIRST_UPDATE)
         h += [None] * (_N_KINDS - _FIRST_UPDATE)
         for k in UPDATE_STARTS:
             h[k] = self._on_update_start
@@ -295,14 +301,23 @@ class UpdateWrapper:
         The transition is lossless because the dormant path maintains the
         invariants the active path expects (live state loaded, its snapshot
         in ``start``/``end``).  The table is mutated *in place* so cached
-        references see the active handlers immediately.
+        references see the active handlers immediately.  An always-active
+        wrapper passes through here too, to call ``on_activate``.
         """
-        self._dormant = False
+        was_dormant = self._dormant
+        self._dormant = self._awaiting_update = False
         self.handlers[:] = self._build_handler_table()
         obs = self.obs
-        if obs is not None:
+        if obs is not None and was_dormant:
             obs.on_activated()
-        return self.handlers[e.kind](e)
+        # Output the transformer held back while dormant goes out first:
+        # once regions are live it would be relabelled into them.
+        held = self.t.on_activate()
+        out = self.handlers[e.kind](e)
+        if held:
+            held.extend(out)
+            return held
+        return out
 
     def _dormant_data(self, e: Event) -> List[Event]:
         # Update-free fast path: no update has ever reached this stage, so
@@ -546,7 +561,6 @@ class UpdateWrapper:
         j_out = self.ctx.fresh_id()
         self._out_region[j] = j_out
         anchor = self.t.bracket_anchor()
-        self._anchor_at_open[j] = anchor
         self._region_info[j] = (j_out, (self.t.output_id, anchor),
                                 policy == UpdatePolicy.TRANSLATE)
         # _out_target(i), inlined with the anchor reused.
@@ -833,7 +847,6 @@ class UpdateWrapper:
             self._root.pop(uid, None)
             self._rcfg.pop(uid, None)
             self._rpolicy.pop(uid, None)
-            self._anchor_at_open.pop(uid, None)
             self._region_info.pop(uid, None)
             self._inner.pop(uid, None)
             self._unlink_parent(uid)

@@ -31,6 +31,24 @@ single-level ``//tag`` case drops the subtree with one flag test per
 event.  Two demands need no cursor: shells only (``count()``) copies
 nothing into enclosing levels, and every element's shell (a backward
 join's candidates) copies no character data.
+
+**Lazy levels.**  When the output is *content-only* (its consumers read
+each match only through what lies below it, as a child step does; see
+:func:`repro.core.demand.defers`), a match that keeps nothing is
+unobservable.  Each level then opens *held*: its anchor or ``sB``
+bracket and its opening ``sE`` (the shell) wait until its cursor first
+keeps an event.  That event first emits the brackets of the enclosing
+levels still held (a nested insert-before needs its target) but not
+their shells, then the level's own bracket and shell.  A level that
+closes with nothing kept emits nothing at all; one whose bracket went
+out for a nested match closes it without a shell.  Positions survive
+the delay: a level's shell and copies are the only events labelled with
+its copy id, nested regions are placed by their insert-before target
+(fixed when the level opened), and the level-1 anchor still precedes
+its plain copy.  The step holds one event per open level, never
+content.  Deferral only runs until the first update event reaches the
+stage; then :meth:`DescendantStep.on_activate` emits every held level
+and later levels open eagerly.
 """
 
 from __future__ import annotations
@@ -40,7 +58,8 @@ from typing import List, Optional, Tuple
 from ..events.model import (CD, EE, ES, ET, SE, SS, ST, Event,
                             end_insert_before, end_mutable, freeze,
                             start_insert_before, start_mutable)
-from ..core.demand import ELEMENT_SHELLS, ITEM_SHELLS, KEEP, matcher_for
+from ..core.demand import (ELEMENT_SHELLS, ITEM_SHELLS, KEEP, defers,
+                           matcher_for)
 from ..core.transformer import Context, State, StateTransformer
 
 _STRUCTURAL = (SS, ES, ST, ET)
@@ -62,6 +81,10 @@ class DescendantStep(StateTransformer):
     _text = True
     #: Demand matcher driving per-level cursors (general demands only).
     _dm = None
+    #: Defer levels (content-only output, no update reached the stage).
+    _lazy = False
+    #: Held shells, parallel to ``levels`` (see :meth:`prune_to`).
+    held: tuple = ()
 
     def __init__(self, ctx: Context, input_id: int, output_id: int,
                  tag: Optional[str], freeze_regions: bool = True) -> None:
@@ -102,35 +125,68 @@ class DescendantStep(StateTransformer):
 
     def prune_to(self, demands: dict) -> None:
         """Emit per-level copies only where the output's consumer reads."""
-        m = matcher_for(demands.get(self.output_id))
+        d = demands.get(self.output_id)
+        m = matcher_for(d)
         if m is None:
             return
-        if m.shape == ITEM_SHELLS:
+        lazy = defers(d)
+        if m.shape == ITEM_SHELLS and not lazy:
             self._inner = self._text = False
-        elif m.shape == ELEMENT_SHELLS:
+        elif m.shape == ELEMENT_SHELLS and not lazy:
             self._text = False
         else:
             self._dm = m
+            self._lazy = lazy
             #: One demand cursor per open level (parallel to ``levels``).
             self.cursors: tuple = ()
             #: While every open level skips: the depth at which the first
             #: skip ends (0: some level may keep the next event).
             self.quiet = 0
+            #: Parallel to ``levels`` while some level is held: the held
+            #: opening sE of each level whose shell is not out yet (None
+            #: once it is); ``()`` when no level is held.
+            self.held = ()
+            #: While some level is held: how many outermost levels have
+            #: their anchor / sB bracket out.
+            self.bracketed = 0
 
     def get_state(self) -> State:
         if self._dm is None:
             return (self.depth, self.levels)
+        if self.held:
+            return (self.depth, self.levels, self.cursors, self.quiet,
+                    self.held, self.bracketed)
+        # Nothing held (always, once deferral ended): no extra cells.
         return (self.depth, self.levels, self.cursors, self.quiet)
 
     def set_state(self, state: State) -> None:
         if self._dm is None:
             self.depth, self.levels = state
-        else:
+        elif len(state) == 4:
             self.depth, self.levels, self.cursors, self.quiet = state
+            self.held = ()
+        else:
+            (self.depth, self.levels, self.cursors, self.quiet,
+             self.held, self.bracketed) = state
+
+    def on_activate(self) -> List[Event]:
+        """The first update reaches the stage: stop deferring.
+
+        Every held level is emitted now, outermost first, before the
+        wrapper handles that update; levels opened later open eagerly.
+        A shell emitted while the wrapper replays region content would
+        be relabelled into that region's bracket.
+        """
+        self._lazy = False
+        out: List[Event] = []
+        for i, shell in enumerate(self.held):
+            if shell is not None:
+                self._show(i, out)
+        return out
 
     def process(self, e: Event) -> List[Event]:
         if self._dm is not None:
-            return self._process_pruned(e)
+            return self._process_demand(e)
         # Kind tests ordered by frequency (sE/eE/cD dominate); per-level
         # copies go through Event.relabel, the slot-copying fast path.
         kind = e.kind
@@ -178,12 +234,14 @@ class DescendantStep(StateTransformer):
                 if levels and self._text else []
         return [e.relabel(self.output_id)]  # sS/eS/sT/eT
 
-    def _process_pruned(self, e: Event) -> List[Event]:
+    def _process_demand(self, e: Event) -> List[Event]:
         """:meth:`process` with each level's copies cut to its demand.
 
         Same brackets, anchors and match structure as the unpruned path;
         only the per-level copies of events *inside* a match that its
-        consumer does not read are left out.
+        consumer does not read are left out.  A deferring step opens
+        each level held (see the module doc) and emits it through
+        :meth:`_show` when its cursor first keeps an event.
         """
         kind = e.kind
         quiet = self.quiet
@@ -211,6 +269,7 @@ class DescendantStep(StateTransformer):
             quiet = 0
             if levels:
                 cursors = self.cursors
+                held = self.held
                 pushed = None      # copy-on-write: only pushes change it
                 for i in range(len(levels)):
                     c = cursors[i]
@@ -223,11 +282,16 @@ class DescendantStep(StateTransformer):
                             pushed = list(cursors)
                         pushed[i] = (ns, d, c)
                         if ns:
+                            if held and held[i] is not None:
+                                self._show(i, out)
+                                held = self.held
                             out.append(e.relabel(levels[i][0]))
                             quiet = -1
                         elif quiet >= 0:
                             quiet = d
                     elif s:
+                        # A KEEP cursor was pushed by a kept sE, which
+                        # already emitted a held level.
                         out.append(e.relabel(levels[i][0]))
                         quiet = -1
                     elif quiet >= 0 and c[1] > quiet:
@@ -236,16 +300,24 @@ class DescendantStep(StateTransformer):
                     self.cursors = tuple(pushed)
             if d >= 1 and (self.tag is None or e.tag == self.tag):
                 if not levels:
-                    anchor = self.ctx.fresh_id()
-                    out.extend((start_mutable(self.output_id, anchor),
-                                end_mutable(self.output_id, anchor),
-                                e.relabel(self.output_id)))
-                    self.levels = ((self.output_id, anchor),)
+                    level = (self.output_id, self.ctx.fresh_id())
                 else:
                     nid = self.ctx.fresh_id()
+                    level = (nid, nid)
+                if self._lazy:
+                    held = self.held
+                    if not held:
+                        held = (None,) * len(levels)
+                        self.bracketed = len(levels)
+                    self.held = held + (e,)
+                elif not levels:
+                    out.extend((start_mutable(self.output_id, level[1]),
+                                end_mutable(self.output_id, level[1]),
+                                e.relabel(self.output_id)))
+                else:
                     out.extend((start_insert_before(levels[-1][1], nid),
                                 e.relabel(nid)))
-                    self.levels = levels + ((nid, nid),)
+                self.levels = levels + (level,)
                 self.cursors = self.cursors + ((m.initial, d, None),)
                 quiet = 0
             self.depth = d + 1
@@ -260,17 +332,36 @@ class DescendantStep(StateTransformer):
             cursors = self.cursors
             if self._closes_top(e):
                 copy_id, region_id = levels[-1]
+                top = len(levels) - 1
                 self.levels = levels = levels[:-1]
                 cursors = cursors[:-1]
-                out.append(e.relabel(copy_id))
-                if levels:
-                    out.append(end_insert_before(levels[-1][1], copy_id))
-                    if self.freeze_regions:
-                        out.append(freeze(copy_id))
-                elif self.freeze_regions:
-                    out.append(freeze(region_id))  # seal the anchor
+                shell = None
+                bracketed = True
+                held = self.held
+                if held:
+                    shell = held[top]
+                    bracketed = top < self.bracketed
+                    if bracketed:
+                        self.bracketed = top
+                    held = held[:-1]
+                    self.held = held if any(
+                        h is not None for h in held) else ()
+                if shell is None:
+                    out.append(e.relabel(copy_id))
+                # No bracket out: neither the level nor a nested one
+                # kept anything, so the match leaves no trace.
+                if bracketed:
+                    if levels:
+                        out.append(end_insert_before(levels[-1][1],
+                                                     copy_id))
+                        if self.freeze_regions:
+                            out.append(freeze(copy_id))
+                    elif self.freeze_regions:
+                        out.append(freeze(region_id))  # seal the anchor
             quiet = 0
             if levels:
+                # An eE is kept only where its sE was, so no held level
+                # can keep one.
                 popped = None      # copy-on-write: only pops change it
                 for i in range(len(levels) - 1, -1, -1):
                     c = cursors[i]
@@ -294,9 +385,39 @@ class DescendantStep(StateTransformer):
             if not levels:
                 return []
             text = self._dm.text
+            if self.held:
+                out = []
+                for i, c in enumerate(self.cursors):
+                    if text[c[0]]:
+                        held = self.held
+                        if held and held[i] is not None:
+                            self._show(i, out)
+                        out.append(e.relabel(levels[i][0]))
+                return out
             return [e.relabel(cid) for (cid, _), c in
                     zip(levels, self.cursors) if text[c[0]]]
         return [e.relabel(self.output_id)]  # sS/eS/sT/eT
+
+    def _show(self, i: int, out: List[Event]) -> None:
+        """Emit held level ``i``: the enclosing brackets still held, its
+        own bracket, then its shell (enclosing shells stay held)."""
+        levels = self.levels
+        b = self.bracketed
+        while b <= i:
+            if b:
+                out.append(start_insert_before(levels[b - 1][1],
+                                               levels[b][0]))
+            else:
+                anchor = levels[0][1]
+                out.extend((start_mutable(self.output_id, anchor),
+                            end_mutable(self.output_id, anchor)))
+            b += 1
+        self.bracketed = b
+        held = list(self.held)
+        out.append(held[i].relabel(levels[i][0]))
+        held[i] = None
+        self.held = tuple(held) if any(
+            h is not None for h in held) else ()
 
     def _closes_top(self, e: Event) -> bool:
         """Does this eE close the innermost open selected level?

@@ -92,6 +92,9 @@ class ForTuples(StateTransformer):
         # Tuple brackets are driven by item boundaries, which survive any
         # sound projection (spine elements are never pruned).
         facts["projection"] = {"kind": "plumbing"}
+        # Every item binds a tuple, read or not (a literal return still
+        # emits once per tuple): the bound items are rooted.
+        facts["demand"] = {"kind": "plumbing", "rooted": True}
         return facts
 
     def type_facts(self) -> dict:

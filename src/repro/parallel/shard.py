@@ -80,6 +80,41 @@ def _fork_context():
         return None
 
 
+def _open_fds() -> List[int]:
+    """The file descriptors open in this process ([] where unlisted)."""
+    for listing in ("/proc/self/fd", "/dev/fd"):
+        try:
+            names = os.listdir(listing)
+        except OSError:
+            continue
+        fds = []
+        for name in names:
+            fd = int(name)
+            try:
+                os.fstat(fd)
+            except OSError:
+                continue    # the listing's own directory fd, closed now
+            fds.append(fd)
+        return fds
+    return []
+
+
+def _close_inherited(fds: Sequence[int], keep: Sequence[int]) -> None:
+    """Close the parent's fds a forked worker does not own.
+
+    A worker inherits its own input pipe's write end, every earlier
+    worker's, and the launcher's multiprocessing sentinel.  Held open,
+    they keep the worker from seeing EOF once the parent dies, and keep
+    the launcher's ``join`` waiting on a sentinel nobody will close.
+    """
+    for fd in fds:
+        if fd > 2 and fd not in keep:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+
+
 def shard_queries(n_queries: int, workers: int,
                   weights: Optional[Sequence[float]] = None
                   ) -> List[List[int]]:
@@ -263,8 +298,12 @@ def _worker_main(rfd: int, result_conn, queries: List[str],
                  stage_faults: List[Tuple[int, int, int]],
                  ack_interval: int, checkpoint_interval: int,
                  ckpt_blob: Optional[bytes], start_seq: int,
-                 fault_plan: Optional[FaultPlan] = None) -> None:
+                 fault_plan: Optional[FaultPlan] = None,
+                 inherited: Sequence[int] = ()) -> None:
     """Worker entry: decode frames from ``rfd``, run the shard, report.
+
+    ``inherited`` lists the fds the parent held when it forked this
+    worker; all but the worker's own two pipe ends are closed first.
 
     Protocol (worker -> parent over ``result_conn``)::
 
@@ -276,6 +315,7 @@ def _worker_main(rfd: int, result_conn, queries: List[str],
     A restarted worker gets the last checkpoint (``ckpt_blob`` +
     ``start_seq``) and sees the missed frames again via journal replay.
     """
+    _close_inherited(inherited, (rfd, result_conn.fileno()))
     applied = start_seq
     try:
         engine = _ShardEngine(queries, engine_kwargs, global_indices,
@@ -411,6 +451,9 @@ class _ForkShard(_FaultMixin):
     def _spawn(self, ckpt_blob: Optional[bytes], start_seq: int) -> None:
         rfd, wfd = os.pipe()
         recv_conn, send_conn = self.ctx.Pipe(duplex=False)
+        # Listed before the fork: the pipes Process.start() opens for the
+        # worker's own sentinel are not in it, so the worker keeps them.
+        inherited = _open_fds()
         try:
             self.process = self.ctx.Process(
                 target=_worker_main,
@@ -418,7 +461,7 @@ class _ForkShard(_FaultMixin):
                       self.indices, self.stage_faults,
                       self.sup["ack_interval"],
                       self.sup["checkpoint_interval"],
-                      ckpt_blob, start_seq, self.plan),
+                      ckpt_blob, start_seq, self.plan, inherited),
                 daemon=True)
             self.process.start()
         except BaseException:

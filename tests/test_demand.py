@@ -9,6 +9,11 @@ shapes on every executor path: interpreted and fused, sanitized,
 multiplexed with prefix sharing on and off, sharded, checkpointed
 mid-stream and recovered from a crashed durable run.
 
+Lazy ``//`` levels ride the same matrix: shapes whose content-only
+output lets the step drop whole matches, rooted shapes that must drop
+nothing, activation of a deferring step in the middle of an item, and
+checkpoints taken while levels are held.
+
 Also here: the O(1) display peak counters against the region-tree walk,
 and the wrapper's freeze-time pruning of its nesting maps against an
 unpruned twin.
@@ -68,6 +73,15 @@ EDGE_QUERIES = {
                       'return ("q:", $i/quantity/text(), "\\n")'),
     "flwor_const": ('for $i in X//item where $i/payment = "Cash" '
                     'return "hit"'),
+    # Lazy levels: content-only output drops the matches holding
+    # nothing read (every match, for the never-true condition)...
+    "star_child": 'X//*/quantity',
+    "star_never": 'X//*[zzz]/quantity',
+    "star_star_child": 'X//*//*/quantity',
+    # ...while rooted consumers observe every match.
+    "count_star_cond": 'count(X//*[location="Albania"])',
+    "flwor_star_literal": 'for $x in X//* return "lit"',
+    "flwor_star_construct": 'for $x in X//* return <m>{ $x/quantity }</m>',
 }
 
 #: Recursive documents exercise nested matches (``//*`` in ``//*``).
@@ -78,6 +92,7 @@ RECURSIVE_QUERIES = {
     "part_text": 'R//part/text()',
     "part_anc": 'R//part/ancestor::part',
     "part_cond": 'R//part[x = "1"]/w',
+    "levels_q3": 'R//*[location="Albania"]/quantity',
 }
 
 #: Matches nested inside subtrees an enclosing match skips, with the
@@ -86,6 +101,17 @@ RECURSIVE_QUERIES = {
 NESTED_XML = ("<part><y><part><y><z>t</z></y><x>1</x><w>a</w></part>"
               "<w>q</w></y><x>1</x><w>b</w></part>"
               "<part><x>2</x><w>c</w></part>")
+
+#: Q3's shape over levels that hold only nested matches (b, g), hold
+#: their own read children only after nested matches (a, d), hold
+#: nothing read at all (f, h), or hold a read child only deep inside a
+#: skipped subtree (i).
+LEVELS_XML = ("<a><b><c><location>Albania</location><quantity>1</quantity>"
+              "</c></b><location>Albania</location><d><e>"
+              "<location>Albania</location><quantity>3</quantity></e>"
+              "<quantity>2</quantity></d><quantity>4</quantity></a>"
+              "<f><g><h>x</h><c><location>Albania</location></c></g></f>"
+              "<i><j><k><quantity>5</quantity></k></j></i>")
 
 ALL_QUERIES = dict(PAPER_QUERIES, **EDGE_QUERIES, **RECURSIVE_QUERIES)
 
@@ -106,7 +132,8 @@ def docs():
                                 albania_fraction=0.25).text(),
             "D": DBLPGenerator(scale=0.02, seed=7,
                                smith_fraction=0.15).text(),
-            "R": "<r>" + RECURSIVE_XML * 3 + NESTED_XML + "</r>"},
+            "R": "<r>" + RECURSIVE_XML * 3 + NESTED_XML + LEVELS_XML
+                 + "</r>"},
     }
 
 
@@ -204,7 +231,8 @@ def _prunes(stage):
 
 def test_sharded_matches_reference(docs, reference):
     names = ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "star_star",
-             "parent", "flwor_literal"]
+             "parent", "flwor_literal", "star_child", "star_never",
+             "count_star_cond"]
     smq = ShardedMultiQueryRun([ALL_QUERIES[n] for n in names],
                                workers=2)
     smq.run_xml(docs[7]["X"])
@@ -272,14 +300,18 @@ def _stage_demands(query):
 
 
 def test_q3_demand_pinned():
+    # The predicate takes its consumer's bit: /quantity reads the
+    # matches only through their children, so //* defers its levels.
     assert _stage_demands(PAPER_QUERIES["Q3"]) == [
-        {"reads": {"0": "shell, .//*/location=whole, "
+        {"reads": {"0": "content-only: shell, .//*/location=whole, "
                         ".//*/quantity=whole"},
-         "emits": {"1000": "shell, ./location=whole, ./quantity=whole"}},
-        {"reads": {"1000": "shell, ./location=whole, ./quantity=whole"},
-         "emits": {"1001": "shell, ./quantity=whole"}},
-        {"reads": {"1001": "shell, ./quantity=whole"},
-         "emits": {"1006": "whole"}},
+         "emits": {"1000": "content-only: shell, ./location=whole, "
+                           "./quantity=whole"}},
+        {"reads": {"1000": "content-only: shell, ./location=whole, "
+                           "./quantity=whole"},
+         "emits": {"1001": "content-only: shell, ./quantity=whole"}},
+        {"reads": {"1001": "content-only: shell, ./quantity=whole"},
+         "emits": {"1006": "rooted: whole"}},
     ]
 
 
@@ -287,19 +319,36 @@ def test_q4_demand_pinned():
     assert _stage_demands(PAPER_QUERIES["Q4"]) == [
         # The clone keeps shells only: the parent join reads child
         # shells of each candidate, count() reads candidate shells.
-        {"reads": {"0": "shell, .//*/*=shell, .//item/location=whole"},
-         "emits": {"0": "shell, .//item/location=whole",
-                   "1006": "shell, .//*/*=shell"}},
-        {"reads": {"0": "shell, .//item/location=whole"},
-         "emits": {"1000": "shell, ./location=whole"}},
-        {"reads": {"1000": "shell, ./location=whole"},
-         "emits": {"1001": "shell"}},
-        {"reads": {"1006": "shell, .//*/*=shell"},
-         "emits": {"1007": "shell, ./*=shell"}},
-        {"reads": {"1001": "shell", "1007": "shell, ./*=shell"},
-         "emits": {"1008": "shell"}},
-        {"reads": {"1008": "shell"}, "emits": {"1009": "whole"}},
+        {"reads": {"0": "content-only: shell, .//*/*=shell, "
+                        ".//item/location=whole"},
+         "emits": {"0": "content-only: shell, .//item/location=whole",
+                   "1006": "content-only: shell, .//*/*=shell"}},
+        {"reads": {"0": "content-only: shell, .//item/location=whole"},
+         "emits": {"1000": "rooted: shell, ./location=whole"}},
+        {"reads": {"1000": "rooted: shell, ./location=whole"},
+         "emits": {"1001": "rooted: shell"}},
+        {"reads": {"1006": "content-only: shell, .//*/*=shell"},
+         "emits": {"1007": "rooted: shell, ./*=shell"}},
+        {"reads": {"1001": "rooted: shell",
+                   "1007": "rooted: shell, ./*=shell"},
+         "emits": {"1008": "rooted: shell"}},
+        {"reads": {"1008": "rooted: shell"},
+         "emits": {"1009": "rooted: whole"}},
     ]
+
+
+def test_lazy_stages_pinned():
+    # Matches are rooted under count(), FLWOR for and the backward join
+    # (Q4-Q7, Q9); Q1, Q2, Q3 and Q8 read theirs only through children.
+    lazy = {name: XFlux(query).compile().demand.lazy
+            for name, query in PAPER_QUERIES.items()}
+    assert lazy == {"Q1": (0, 1), "Q2": (0,), "Q3": (0,), "Q4": (),
+                    "Q5": (), "Q6": (), "Q7": (), "Q8": (0,), "Q9": ()}
+    for name in ("count_star_cond", "flwor_star_literal",
+                 "flwor_star_construct"):
+        assert XFlux(ALL_QUERIES[name]).compile().demand.lazy == ()
+    assert XFlux(ALL_QUERIES["star_star_child"]).compile().demand.lazy \
+        == (0, 1)
 
 
 @pytest.mark.parametrize("name", ["Q7", "Q9"])
@@ -321,9 +370,12 @@ def test_mutable_source_plans_are_universal(name):
     plan = XFlux(PAPER_QUERIES[name], mutable_source=True).compile()
     assert plan.demand.universal
     assert "mutable" in plan.demand.reason
+    assert plan.demand.lazy == ()
     for stage in plan.stages:
         if isinstance(stage, (DescendantStep, AncestorJoin, Tee)):
             assert not _prunes(stage), stage
+        if isinstance(stage, DescendantStep):
+            assert not stage._lazy, stage
 
 
 def test_unoptimized_plan_is_the_unpruned_reference():
@@ -344,6 +396,125 @@ def test_calls_per_event_fall(name, docs):
             < 0.5 * full.stats()["transformer_calls"])
 
 
+#: Transformer calls and display events of each paper query over the
+#: seed-1 documents (824 XMark / 1382 DBLP source events), interpreted.
+#: Q3 drops the ``//*`` matches holding no location or quantity child
+#: (5677 calls and 2372 display events with every match emitted); in
+#: every other query each match holds what its consumer reads, so the
+#: counts are exactly those of eager levels.
+CALLS_PINNED = {
+    "Q1": (1049, 35), "Q2": (1633, 248), "Q3": (1337, 202),
+    "Q4": (7834, 14), "Q5": (2679, 11), "Q6": (17592, 11),
+    "Q7": (3964, 667), "Q8": (3362, 612), "Q9": (24901, 3835),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
+def test_calls_and_display_events_pinned(name, docs):
+    run = _run(PAPER_QUERIES[name], docs[1][QUERY_DATASET[name]],
+               fuse=False, sanitize=False)
+    assert (run.stats()["transformer_calls"],
+            run.display.events_seen) == CALLS_PINNED[name]
+
+
+def test_never_true_condition_emits_no_match(docs):
+    text = docs[1]["X"]
+    lazy = _run(ALL_QUERIES["star_never"], text, fuse=False,
+                sanitize=False)
+    full = _run(ALL_QUERIES["star_never"], text, optimize=False,
+                fuse=False, sanitize=False)
+    assert lazy.text() == full.text() == ""
+    # No match holds a zzz or quantity child read through the filter,
+    # so the predicate sees no region and the display no item.
+    assert lazy.display.events_seen < full.display.events_seen
+    step = lazy.pipeline.wrappers[0].t
+    assert step.held == () and step.levels == ()
+
+
+def _lazy_steps(mq):
+    return [w.t._lazy for g in mq.groups for w in g.pipeline.wrappers
+            if isinstance(w.t, DescendantStep)]
+
+
+def test_shared_prefix_with_rooted_member_keeps_every_match(docs,
+                                                           reference):
+    # count() observes every //* match, so the prefix serving it and Q3
+    # must not drop matches Q3 alone would.
+    names = ["Q3", "count_star_cond"]
+    mq = MultiQueryRun([ALL_QUERIES[n] for n in names],
+                       share_prefixes=True, sanitize=False,
+                       metrics=False, flight=False)
+    assert _lazy_steps(mq) == [False]
+    mq.run_xml(docs[1]["X"])
+    assert mq.texts() == [reference[(n, 1)] for n in names]
+    # Two content-only members: the shared prefix defers.
+    names = ["Q3", "star_child"]
+    mq = MultiQueryRun([ALL_QUERIES[n] for n in names],
+                       share_prefixes=True, sanitize=False,
+                       metrics=False, flight=False)
+    assert _lazy_steps(mq) == [True]
+    mq.run_xml(docs[1]["X"])
+    assert mq.texts() == [reference[(n, 1)] for n in names]
+
+
+TICKER_QUERIES = ['stream()//quote[name="IBM"]/price',
+                  'stream()//quote[price > 100]/name']
+
+
+@pytest.mark.parametrize("query", TICKER_QUERIES)
+@pytest.mark.parametrize("mode", ["interp", "fused", "sanitized"])
+def test_lazy_step_activates_mid_item(query, mode):
+    # An immutable-source plan fed a live update stream: //quote defers
+    # while its wrapper is dormant, and the first name region activates
+    # it with the enclosing quote's level still held.  The flush must
+    # emit that level before the region, or the quote's shell lands in
+    # the region's bracket.
+    events = StockTicker(n_updates=150, name_update_fraction=0.2,
+                         mutable_names=True, seed=3).events()
+    plan = XFlux(query).compile()
+    assert plan.demand.lazy == (0,)
+    run = QueryRun(plan, fuse=mode == "fused",
+                   sanitize=mode == "sanitized")
+    wrapper = run.pipeline.wrappers[0]
+    step = wrapper.t
+    held_at_activation = None
+    for e in events:
+        before = step.held if wrapper.dormant else None
+        run.feed(e)
+        if held_at_activation is None and not wrapper.dormant:
+            held_at_activation = before
+    run.finish()
+    assert held_at_activation, "activation found no level held"
+    assert not step._lazy
+    ref = QueryRun(XFlux(query).compile(optimize=False), fuse=False,
+                   sanitize=False)
+    ref.feed_all(events)
+    ref.finish()
+    assert run.text() == ref.text()
+
+
+@pytest.mark.parametrize("fuse", [False, True], ids=["interp", "fused"])
+def test_checkpoint_while_levels_are_held(fuse, docs, reference):
+    query = ALL_QUERIES["levels_q3"]
+    plan = XFlux(query).compile()
+    events = list(_events(docs[7]["R"], plan))
+    run = QueryRun(plan, fuse=fuse)
+    restored = 0
+    for i, e in enumerate(events):
+        run.feed(e)
+        held = run.pipeline.wrappers[0].t.held
+        if not held or i % 4:
+            continue
+        blob = run.checkpoint()
+        run = QueryRun(XFlux(query).compile(), fuse=fuse).restore(blob)
+        step = run.pipeline.wrappers[0].t
+        assert step._lazy and step.held == held
+        restored += 1
+    run.finish()
+    assert restored >= 3
+    assert run.text() == reference[("levels_q3", 7)]
+
+
 class TestLattice:
     def test_union_and_top(self):
         a = Demand([(((("child", "a"),)), "whole")])
@@ -357,7 +528,24 @@ class TestLattice:
                     ((("child", "a"), ("child", "b"), ("child", "c")),
                      "text"),
                     ((), "shell")])
-        assert d.describe() == "shell, ./a/b=whole"
+        assert d.describe() == "rooted: shell, ./a/b=whole"
+
+    def test_rooted_bit(self):
+        below = WHOLE_ITEMS.below(("child", "a"))
+        assert not below.rooted
+        assert below.describe() == "content-only: shell, ./a=whole"
+        # A union is rooted if either side is; the unread stream is
+        # never rooted, so it stays the identity.
+        assert (below | SHELLS).rooted and (SHELLS | below).rooted
+        assert not (below | below.below(("child", "b"))).rooted
+        assert not Demand().rooted and (below | Demand()) == below
+        assert below != below.rooted_as(True)
+        assert Demand().describe() == "none"
+        # A content-only stream read whole is still content-only...
+        whole_below = Demand([((), "whole")], rooted=False)
+        assert whole_below.whole and not whole_below.rooted
+        # ...until a rooted consumer joins it.
+        assert (whole_below | WHOLE_ITEMS).rooted
 
     def test_matcher_verdicts(self):
         m = DemandMatcher(Demand([((("child", "a"),), "whole"),
@@ -377,15 +565,18 @@ def test_analyze_text_prints_q3_demand():
     out, err = StringIO(), StringIO()
     assert cli_main(["analyze", "Q3"], out=out, err=err) == 0
     lines = [ln.strip() for ln in out.getvalue().splitlines()
-             if ln.strip().startswith("demand:")]
+             if ln.strip().startswith(("demand:", "lazy:"))]
     assert lines == [
-        "demand: reads [0] shell, .//*/location=whole, "
-        ".//*/quantity=whole; emits [1000] shell, ./location=whole, "
+        "demand: reads [0] content-only: shell, .//*/location=whole, "
+        ".//*/quantity=whole; emits [1000] content-only: shell, "
+        "./location=whole, ./quantity=whole",
+        "lazy: a match is emitted once it holds an event its consumer "
+        "reads (until an update arrives)",
+        "demand: reads [1000] content-only: shell, ./location=whole, "
+        "./quantity=whole; emits [1001] content-only: shell, "
         "./quantity=whole",
-        "demand: reads [1000] shell, ./location=whole, "
-        "./quantity=whole; emits [1001] shell, ./quantity=whole",
-        "demand: reads [1001] shell, ./quantity=whole; emits [1006] "
-        "whole",
+        "demand: reads [1001] content-only: shell, ./quantity=whole; "
+        "emits [1006] rooted: whole",
     ]
 
 
@@ -393,9 +584,10 @@ def test_analyze_json_prints_q3_demand():
     out, err = StringIO(), StringIO()
     assert cli_main(["analyze", "Q3", "--json"], out=out, err=err) == 0
     payload = json.loads(out.getvalue())
-    assert payload["demand"] == {"universal": False}
+    assert payload["demand"] == {"universal": False, "lazy": [0]}
     assert [s["demand"] for s in payload["stages"]] == \
         _stage_demands(PAPER_QUERIES["Q3"])
+    assert [s["lazy"] for s in payload["stages"]] == [True, False, False]
 
 
 def test_analyze_reports_universal_demand_for_mutable_sources():

@@ -5,16 +5,18 @@ never crashed.
 Children fork, lead their own process group, and kill themselves from
 inside ``WriteAheadLog.log_frame`` (``crash_after_frames``) — the frame
 is durable, the dispatch never happens, exactly the torn moment the
-write-ahead invariant is designed for.  The parent reaps the group
-(sharded children leave worker orphans behind otherwise), recovers with
-the original input re-supplied, and diffs.
+write-ahead invariant is designed for.  The parent requires each child
+to have died at its crash point within a short bound, reaps the group,
+recovers with the original input re-supplied, and diffs.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,10 @@ from repro.xquery.engine import MultiQueryRun
 _CTX = multiprocessing.get_context("fork")
 BATCH = 64
 CKPT_EVERY = 3
+#: Seconds a crash child gets to reach its crash point and die.
+CRASH_JOIN_S = 30
+#: Seconds an orphaned shard worker gets to notice its parent is gone.
+WORKER_EXIT_S = 5
 
 
 # ---------------------------------------------------------------- children
@@ -66,17 +72,53 @@ def _crash_sharded(wal_dir, queries, text, crash_after):
     smq.run_xml(text)
 
 
-def _crash(target, *args):
-    """Fork, wait for the self-SIGKILL, reap the whole process group."""
-    proc = _CTX.Process(target=target, args=args)
-    proc.start()
-    proc.join(180)
+def _kill_sharded_parent(conn, queries, text):
+    """Start a 2-worker sharded run, report its worker pids, die."""
+    os.setpgrp()
+    from repro.parallel import ShardedMultiQueryRun
+    from repro.xmlio.tokenizer import tokenize
+    smq = ShardedMultiQueryRun(queries, workers=2, batch_events=BATCH)
+    events = tokenize(text, stream_id=smq.source_id,
+                      emit_oids=smq.needs_oids)
+    smq.feed_all(itertools.islice(events, 4 * BATCH))
+    conn.send([shard.process.pid for shard in smq._shards])
+    conn.close()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _reap_group(proc):
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except (OSError, ProcessLookupError):
         pass
-    assert proc.exitcode == -signal.SIGKILL, \
-        "child survived its crash point (exit {})".format(proc.exitcode)
+    proc.join(CRASH_JOIN_S)
+
+
+def _crash(target, *args):
+    """Fork, require the self-SIGKILL within a short bound, reap.
+
+    The exit code is read before the process group is killed, so only
+    the child's own crash point can produce the asserted ``-SIGKILL``.
+    """
+    proc = _CTX.Process(target=target, args=args)
+    proc.start()
+    try:
+        proc.join(CRASH_JOIN_S)
+        exitcode = proc.exitcode
+    finally:
+        _reap_group(proc)
+    assert exitcode == -signal.SIGKILL, \
+        "child did not die at its crash point within {} s (exit {})" \
+        .format(CRASH_JOIN_S, exitcode)
+
+
+def _running(pid):
+    """Is ``pid`` alive?  A zombie awaiting its reaper has exited."""
+    try:
+        with open("/proc/{}/stat".format(pid)) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 # ---------------------------------------------------------------- fixtures
@@ -199,6 +241,32 @@ def test_sharded_run_recovers_from_parent_wal(xmark_text, tmp_path):
     assert result.kind == "sharded"
     assert result.texts == clean_texts
     assert result.statuses == clean_statuses
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs /proc to watch orphaned workers")
+def test_workers_exit_when_the_sharded_parent_is_killed(xmark_text):
+    recv, send = _CTX.Pipe(duplex=False)
+    queries = [PAPER_QUERIES[n] for n in ("Q1", "Q2", "Q3")]
+    proc = _CTX.Process(target=_kill_sharded_parent,
+                        args=(send, queries, xmark_text))
+    proc.start()
+    send.close()
+    try:
+        assert recv.poll(CRASH_JOIN_S), "sharded parent never started"
+        pids = recv.recv()
+        proc.join(CRASH_JOIN_S)
+        assert proc.exitcode == -signal.SIGKILL
+        deadline = time.monotonic() + WORKER_EXIT_S
+        while (any(_running(pid) for pid in pids)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        alive = [pid for pid in pids if _running(pid)]
+        assert not alive, "workers outlived their parent: {}".format(
+            alive)
+    finally:
+        recv.close()
+        _reap_group(proc)
 
 
 def test_quarantine_in_checkpoint_survives_recovery(xmark_text,
