@@ -20,7 +20,9 @@ list the same way the runtime pushes the brackets themselves:
 * the stage's update policy then decides how the family continues:
   TRANSPARENT/RAW forward it, TRANSLATE replaces it by a fresh
   dynamically-numbered family (declared at the translating stage, frozen
-  exactly when its source freezes), TEE does both, CONSUME/SHARED end it.
+  exactly when its source freezes), TEE does both, CONSUME/SHARED end it;
+* a stage that passes region traffic through (``passes_regions``, e.g.
+  concatenation) tracks no family at all: each crosses it as foreign.
 
 The result is a :class:`PlanReport`: a per-stage memory estimate, the
 statically predicted fix map — which region numbers remain in
@@ -252,7 +254,10 @@ def analyze_plan(plan: Plan) -> PlanReport:
         # not match bracket nesting order, so iterate until stable.
         tracked_ids: Set[int] = set(t.input_ids)
         tracked: Set[int] = set()        # id(family)
-        changed = True
+        # A stage passing region traffic through tracks nothing: every
+        # family crosses it as foreign traffic (UpdateWrapper never
+        # activates it).
+        changed = not t.passes_regions
         while changed:
             changed = False
             for f in in_flight:

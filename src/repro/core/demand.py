@@ -30,11 +30,15 @@ Union is set union.
 
 A demand also carries a **rooted** bit.  Items are *rooted* when some
 consumer observes each item itself — the display, ``count``/``sum``,
-FLWOR ``for``, the backward join, any stage declaring nothing — and
-*content-only* when consumers read them only through what lies below,
-as child and descendant steps do.  A filter and plumbing take their
-consumer's bit, a stage may declare its input rooted (``"rooted":
-True`` in its demand fact), and a union is rooted if either side is.
+FLWOR ``for``, the backward join's incoming results, any stage declaring
+nothing — and *content-only* when consumers read them only through what
+lies below, as child and descendant steps do.  A filter and plumbing
+take their consumer's bit, a stage may declare its input rooted
+(``"rooted": True`` in its demand fact), and a union is rooted if either
+side is.  The backward join reads its candidates content-only even when
+its own output is rooted: a candidate holding no element the incoming
+result could close as is hidden at its close, so it is gated on the
+result's tag (:func:`_join_demand`).
 
 **The pass.**  :func:`derive_demand` walks a compiled plan backward from
 the display (which reads its result stream whole), using each stage's
@@ -428,9 +432,11 @@ def _backward(stages, sinks: Dict[int, Demand]) -> Tuple[
     outs: List[Dict[int, Demand]] = [{} for _ in stages]
     ins: List[Dict[int, Demand]] = [{} for _ in stages]
     lazy: List[int] = []
+    specs = [_spec(stage) for stage in stages]
+    producers = {stage.output_id: idx for idx, stage in enumerate(stages)}
     for idx in range(len(stages) - 1, -1, -1):
         stage = stages[idx]
-        spec = _spec(stage)
+        spec = specs[idx]
         kind = spec.get("kind")
         d_out = demand.get(stage.output_id, NOTHING)
         if kind == "tee":
@@ -438,6 +444,11 @@ def _backward(stages, sinks: Dict[int, Demand]) -> Tuple[
             d_pass = demand.get(src, NOTHING)
             outs[idx] = {src: d_pass, stage.output_id: d_out}
             ins[idx] = {src: d_pass | d_out}
+        elif kind == "join":
+            outs[idx] = {stage.output_id: d_out}
+            ins[idx] = _join_demand(
+                spec, d_out,
+                _item_tag(stages, specs, producers, spec["incoming"]))
         else:
             outs[idx] = {stage.output_id: d_out}
             ins[idx] = _input_demand(stage, spec, kind, d_out)
@@ -475,13 +486,53 @@ def _input_demand(stage, spec: dict, kind: Optional[str],
             d = d | condition_demand(cond)
         d = d.rooted_as(d_out.rooted)
         return {i: d for i in inputs}
-    if kind == "join":
-        axis = CHILD if spec.get("direct") else DESCENDANT
-        structure = Demand([((), SHELL), (((axis, None),), SHELL)])
-        return {spec["candidates"]: d_out | structure,
-                spec["incoming"]: SHELLS}
     # "content", "opaque", or anything undeclared: whole items.
     return {i: WHOLE_ITEMS for i in inputs}
+
+
+def _join_demand(spec: dict, d_out: Demand,
+                 tag: Optional[str]) -> Dict[int, Demand]:
+    """The backward join's input demands, gated on the result tag.
+
+    The join reads the end tags of its incoming items and, inside each
+    candidate, the boundaries of the elements an incoming item may close
+    as: ``tag`` children for ``..``, ``tag`` descendants for
+    ``ancestor::`` (any element when ``tag`` is None).  Those, plus what
+    the join's consumers read, are content-only: on an immutable source a
+    candidate's ``outcome`` rises only when an incoming item closes inside
+    it, and a candidate left at zero is hidden and frozen at its close, so
+    one holding no such element is never shown.  The candidate ``//``
+    therefore defers (:func:`defers`) and drops it, brackets included —
+    unless the consumers read whole candidates, which nothing defers.
+    """
+    if d_out.empty:
+        return {spec["candidates"]: NOTHING, spec["incoming"]: NOTHING}
+    axis = CHILD if spec.get("direct") else DESCENDANT
+    gate = Demand([(((axis, tag),), SHELL)])
+    return {spec["candidates"]: (d_out | gate).rooted_as(False),
+            spec["incoming"]: SHELLS}
+
+
+def _item_tag(stages, specs: List[dict], producers: Dict[int, int],
+              sid: int) -> Optional[str]:
+    """The element tag every item of stream ``sid`` carries (None: any).
+
+    Walks back through filters and tees to the navigation step producing
+    the stream; anything else (the source, a shared prefix's stream, a
+    join, a constructor) leaves the tag unknown.  Each stage is visited
+    at most once.
+    """
+    while True:
+        idx = producers.get(sid)
+        if idx is None:
+            return None
+        spec = specs[idx]
+        kind = spec.get("kind")
+        if kind == "step" and spec.get("axis") in (CHILD, DESCENDANT):
+            return spec.get("tag")
+        if kind not in ("filter", "tee"):
+            return None
+        sid = stages[idx].input_ids[0]
 
 
 def condition_demand(cond) -> Demand:

@@ -119,6 +119,14 @@ class StateTransformer:
     #: calling it.  A subclass that overrides :meth:`on_other` with
     #: different behaviour MUST set this to False to opt out of routing.
     passes_foreign = True
+    #: When True, the operator passes region traffic through unchanged:
+    #: its update policy is TRANSPARENT for every input, it is inert and
+    #: stateless, and :meth:`process` returns every event of region
+    #: content as it came.  Its wrapper then treats every update event
+    #: as foreign (passed through, never activating the wrapper), so it
+    #: tracks no region: no state copies, order stamps or parent links,
+    #: and the routing driver skips the stage for all region content.
+    passes_regions = False
     #: When True, events emitted while processing update-region content are
     #: discarded; the operator's visible result is refreshed through
     #: on_live_adjusted instead (used by aggregates whose whole output is a

@@ -57,6 +57,7 @@ LIVE = "live"
 #: the enum is laid out so one integer compare classifies an event).
 _FIRST_UPDATE = int(SM)
 _N_KINDS = int(SHOW) + 1
+_END_KINDS = frozenset(int(k) for k in UPDATE_ENDS)
 
 
 class _Rat:
@@ -143,6 +144,9 @@ class UpdateWrapper:
         self.t = transformer
         self.ctx = transformer.ctx
         self.input_ids = frozenset(transformer.input_ids)
+        #: The transformer passes region traffic through unchanged, so
+        #: no region is ever tracked here (see ``passes_regions``).
+        self._pass_regions = transformer.passes_regions
         # Per-region state copies (region id -> state snapshot).
         self.start: Dict[object, State] = {}
         self.end: Dict[object, State] = {}
@@ -303,7 +307,23 @@ class UpdateWrapper:
         in ``start``/``end``).  The table is mutated *in place* so cached
         references see the active handlers immediately.  An always-active
         wrapper passes through here too, to call ``on_activate``.
+
+        Only an update of the stage's own streams activates.  One keyed
+        by an id the stage does not track (the routing key of
+        :meth:`Pipeline._drain`: ``sub`` for a bracket end, ``id`` for
+        everything else) is foreign: every active handler would pass it
+        through, so it passes through here too, counted as a call, and
+        the stage stays dormant — as it does when routing never delivers
+        the update at all.  To a stage that passes region traffic
+        through (``passes_regions``) every update is foreign.
         """
+        kind = e.kind
+        if self._pass_regions or (
+                e.sub if kind in _END_KINDS else e.id) not in self.tracked:
+            self.calls += 1
+            if kind == FREEZE:
+                self.ctx.fix.freeze(e.id)   # as _on_freeze does for all
+            return self.t.on_other(e)
         was_dormant = self._dormant
         self._dormant = self._awaiting_update = False
         self.handlers[:] = self._build_handler_table()

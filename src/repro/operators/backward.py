@@ -9,7 +9,12 @@ backward step itself is a special join between the incoming stream and
 those candidates:
 
 * ``left_end`` — the latest eE seen in the cloned branch (any depth);
-* ``right_end`` — the latest *top-level* eE of the incoming stream;
+* ``right_end`` — the latest *top-level* eE of the incoming stream,
+  counted per update region the incoming events arrive in: a nested
+  result (``//part`` inside ``//part``) comes in a region of its own,
+  inserted before its enclosing match, while that match's copy is still
+  open in the live stream, so one shared depth would never see it close
+  at the top level;
 
 when the two are the same source node (OID equality), the incoming result
 element just closed inside the candidate — the candidate is an ancestor —
@@ -28,14 +33,20 @@ depth 1 (the result element must be a *direct* child of the candidate).
 
 The join reads only element boundaries of its inputs (the incoming item's
 end tag, the candidate's element tags — its children for ``..``), which
-its ``demand`` fact declares.  With the output's demand installed
-(:meth:`AncestorJoin.prune_to`), candidate content is cut to what the
-consumer reads: a ``count()`` receives candidate shells only.
+its ``demand`` fact declares.  The demand pass
+(:func:`repro.core.demand.derive_demand`) narrows the candidate side to
+the elements an incoming result may close as (``./item`` children when
+the results are ``item`` elements) and reads it content-only, so the
+candidate ``//*`` never emits a candidate holding none: on an immutable
+source such a candidate would be hidden and frozen at its close anyway.
+With the output's demand installed (:meth:`AncestorJoin.prune_to`),
+candidate content is cut to what the consumer reads: a ``count()``
+receives candidate shells only.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..events.model import (CD, EE, ES, ET, SE, SM, SS, ST, Event,
                             end_mutable, freeze as freeze_event,
@@ -78,7 +89,9 @@ class AncestorJoin(StateTransformer):
         # Source-position registers, shared across candidates (not cloned):
         self.right_end_oid: Optional[int] = None
         self.right_end_region: Optional[int] = None
-        self.incoming_depth = 0
+        #: Element depth of the incoming stream per region its events
+        #: arrive in (None: live); a region leaves the map at depth 0.
+        self.incoming_depth: Dict[Optional[int], int] = {}
 
     def update_policy(self, stream_id: int) -> UpdatePolicy:
         if stream_id == self.incoming_id:
@@ -155,13 +168,21 @@ class AncestorJoin(StateTransformer):
             root = e.id
         if root == self.incoming_id and kind < _FIRST_UPDATE:
             # Incoming branch: feed the shared source-position registers.
+            # Depth counts per region: a nested match arrives in a region
+            # of its own while its enclosing match's copy is still open.
             if kind == SE:
-                self.incoming_depth += 1
+                depths = self.incoming_depth
+                region = self.current_region
+                depths[region] = depths.get(region, 0) + 1
             elif kind == EE:
-                self.incoming_depth -= 1
-                if self.incoming_depth == 0:
+                depths = self.incoming_depth
+                region = self.current_region
+                d = depths.pop(region, 0) - 1
+                if d > 0:
+                    depths[region] = d
+                elif d == 0:
                     self.right_end_oid = e.oid
-                    self.right_end_region = self.current_region
+                    self.right_end_region = region
             return []
         # Candidate branch.  Kind tests ordered by frequency: candidate
         # subtrees are almost entirely sE/eE/cD; the structural kinds

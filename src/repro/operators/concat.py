@@ -11,13 +11,21 @@ Both inputs are TRANSPARENT: content keeps its original stream numbers
 (they are routed into the regions by id), so concatenations chain — the
 compiler builds ``(a, b, c)`` right-associatively as ``(a, (b, c))``,
 which makes every bracket open before content that must land inside it.
+
+The operator never looks inside an update region of its inputs: their
+brackets, content and hide/show/freeze all leave exactly as they came.
+It declares that (``passes_regions``), so its wrapper tracks no region —
+no per-region state copies, order stamps or parent links for regions it
+would forward unchanged anyway — and the routing driver skips the stage
+for their events.  Only the inputs' own stream, tuple and top-level
+events reach :meth:`Concat.process`.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ..events.model import (ES, ET, SS, ST, Event, end_insert_before,
+from ..events.model import (ET, SE, ST, Event, end_insert_before,
                             end_mutable, end_tuple, start_insert_before,
                             start_mutable, start_tuple)
 from ..core.transformer import Context, State, StateTransformer
@@ -28,6 +36,7 @@ class Concat(StateTransformer):
     """Binary tuple-aligned concatenation of two substreams."""
 
     inert = True
+    passes_regions = True
 
     def __init__(self, ctx: Context, left_id: int, right_id: int,
                  output_id: int) -> None:
@@ -59,37 +68,23 @@ class Concat(StateTransformer):
         return {"kind": "union"}
 
     def process(self, e: Event) -> List[Event]:
+        # Only the inputs' own events arrive here (region content passes
+        # by): markers of the left input are dropped (F1), those of the
+        # right one open or close the output's (F2).
         kind = e.kind
-        if kind == ST:
+        if kind < SE:
             if e.id == self.left_id:
-                return []  # F1: drop left tuple markers
-            if e.id == self.right_id:
-                # F2: wrap the right tuple in a mutable region and open an
+                return []
+            out, right = self.output_id, self.right_id
+            if kind == ST:
+                # Wrap the right tuple in a mutable region and open an
                 # insert-before update that will hold the left content.
-                return [start_tuple(self.output_id),
-                        start_mutable(self.output_id, self.right_id),
-                        start_insert_before(self.right_id, self.left_id)]
-            return [e]  # a marker inside region content: plain content
-        if kind == ET:
-            if e.id == self.left_id:
-                return []
-            if e.id == self.right_id:
-                return [end_insert_before(self.right_id, self.left_id),
-                        end_mutable(self.output_id, self.right_id),
-                        end_tuple(self.output_id)]
-            return [e]
-        if kind == SS:
-            if e.id == self.left_id:
-                return []
-            if e.id == self.right_id:
-                return [Event(SS, self.output_id)]
-            return [e]
-        if kind == ES:
-            if e.id == self.left_id:
-                return []
-            if e.id == self.right_id:
-                return [Event(ES, self.output_id)]
-            return [e]
+                return [start_tuple(out), start_mutable(out, right),
+                        start_insert_before(right, self.left_id)]
+            if kind == ET:
+                return [end_insert_before(right, self.left_id),
+                        end_mutable(out, right), end_tuple(out)]
+            return [Event(kind, out)]  # sS / eS
         # Content keeps its stream number; the display routes it into the
         # open region with that id.
         return [e]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+import threading
+
 import pytest
 
 from repro import XFlux, parse_xml, tokenize
@@ -54,3 +57,36 @@ def ctx():
     context = Context()
     context.ids.reserve(0)
     return context
+
+
+#: Wall-clock budget of one test, in seconds.  The slowest test takes a
+#: few seconds, so a test still running after this long hangs: it fails
+#: with a message naming the budget instead of passing slowly.
+TEST_BUDGET_S = 60
+
+
+@pytest.fixture(autouse=True)
+def wall_clock_budget(request):
+    """Fail any test that runs longer than :data:`TEST_BUDGET_S`.
+
+    A real-time interval timer raises in the main thread when the budget
+    runs out, interrupting blocking calls too (a read on a pipe whose
+    writer never closes it).  Forked children do not inherit the timer.
+    Skipped where the platform has no interval timers.
+    """
+    if (not hasattr(signal, "setitimer")
+            or threading.current_thread() is not threading.main_thread()):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail("{} exceeded its {} s wall-clock budget (hung?)"
+                    .format(request.node.nodeid, TEST_BUDGET_S))
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_BUDGET_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

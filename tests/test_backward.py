@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro import XFlux, parse_xml
+from repro.baselines.dom_eval import evaluate_to_xml
 from repro.core import Display, Pipeline
+from repro.data import XMarkGenerator
 from repro.operators import (AncestorJoin, ChildStep, CompareLiteral,
                              CountItems, DescendantStep, InlinePipeline,
                              Predicate, StringValue, Tee)
 from repro.xmlio import tokenize
+from repro.xquery.parser import parse as parse_query
 
 
 def build_pipeline(ctx, cand_tag, direct, pred_tag, pred_value,
@@ -102,3 +106,53 @@ class TestHiddenIncoming:
                "<asia><item><location>Albania</location></item></asia>"
                "</regions></site>")
         assert run(ctx, None, True, doc=doc).text() == "1"  # asia only
+
+
+class TestNestedIncoming:
+    """Results nested in results: each inner match must still register.
+
+    A ``//part`` match inside another arrives in an insert-before region
+    of its own while the enclosing match's copy is still open, so the
+    join counts incoming depth per region (checked against the DOM
+    oracle, pruned and unpruned).
+    """
+
+    @pytest.mark.parametrize("optimize", [None, False],
+                             ids=["pruned", "reference"])
+    @pytest.mark.parametrize("query", [
+        "X//part/..",
+        "count(X//part/ancestor::part)",
+        "X//part/ancestor::part",
+        "count(X//part/ancestor::*)",
+    ])
+    def test_recursive_document(self, query, optimize, recursive_xml):
+        assert (_engine(query, recursive_xml, optimize)
+                == _oracle(query, recursive_xml))
+
+    def test_recursive_parent_lists_every_part_parent(self, recursive_xml):
+        assert _engine("X//part/..", recursive_xml, None) == (
+            "<part>b<part>c</part></part>"
+            "<part>a<part>b<part>c</part></part></part>"
+            "<widget><part>e</part></widget>")
+
+    @pytest.mark.parametrize("optimize", [None, False],
+                             ids=["pruned", "reference"])
+    def test_xmark_nested_listitems(self, optimize):
+        text = XMarkGenerator(scale=0.05, seed=3).text()
+        query = "count(X//listitem[text]/ancestor::parlist)"
+        answer = _engine(query, text, optimize)
+        assert answer == _oracle(query, text) == "151"
+
+
+def _engine(query, text, optimize):
+    from repro.xquery.engine import QueryRun
+    plan = XFlux(query).compile(optimize=optimize)
+    run = QueryRun(plan)
+    run.feed_all(tokenize(text, stream_id=plan.source_id,
+                          emit_oids=plan.needs_oids))
+    run.finish()
+    return run.text()
+
+
+def _oracle(query, text):
+    return evaluate_to_xml(parse_query(query), parse_xml(text))

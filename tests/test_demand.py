@@ -40,7 +40,8 @@ from repro.core.transformer import Context, StateTransformer
 from repro.core.wrapper import UpdateWrapper
 from repro.data import DBLPGenerator, XMarkGenerator
 from repro.data.stock import StockTicker
-from repro.events.model import (SS, Event, cdata, end_mutable, freeze,
+from repro import parse_xml
+from repro.events.model import (SE, SS, Event, cdata, end_mutable, freeze,
                                 start_mutable)
 from repro.fault.recover import recover
 from repro.operators import AncestorJoin, DescendantStep, Tee
@@ -82,6 +83,11 @@ EDGE_QUERIES = {
     "count_star_cond": 'count(X//*[location="Albania"])',
     "flwor_star_literal": 'for $x in X//* return "lit"',
     "flwor_star_construct": 'for $x in X//* return <m>{ $x/quantity }</m>',
+    # Backward-axis candidates gated on the incoming result's tag: an
+    # unknown tag (every element may hold a result) and whole candidates
+    # read by the display (nothing defers).
+    "count_star_parent": 'count(X//*[location="Albania"]/..)',
+    "item_parent": 'X//item[location="Albania"]/..',
 }
 
 #: Recursive documents exercise nested matches (``//*`` in ``//*``).
@@ -93,6 +99,10 @@ RECURSIVE_QUERIES = {
     "part_anc": 'R//part/ancestor::part',
     "part_cond": 'R//part[x = "1"]/w',
     "levels_q3": 'R//*[location="Albania"]/quantity',
+    # Nested incoming results (a part inside a part) and Q6's shape.
+    "part_parent": 'R//part/..',
+    "count_part_anc": 'count(R//part/ancestor::part)',
+    "q6_part": 'count(R//part[x="1"]/ancestor::*//w)',
 }
 
 #: Matches nested inside subtrees an enclosing match skips, with the
@@ -178,8 +188,11 @@ def test_pruned_matches_reference_sanitized(name, docs, reference):
     assert run.text() == reference[(name, 7)]
 
 
-@pytest.mark.parametrize("name", ["Q3", "Q4", "Q7", "Q9", "star_star",
-                                  "part_star", "part_anc"])
+@pytest.mark.parametrize("name", ["Q3", "Q4", "Q6", "Q7", "Q9",
+                                  "star_star", "part_star", "part_anc",
+                                  "count_star_parent", "item_parent",
+                                  "part_parent", "count_part_anc",
+                                  "q6_part"])
 def test_pruned_matches_reference_always_active(name, docs, reference):
     # Every wrapper pays full region bookkeeping from the first event,
     # so the demand cursors ride through per-region state copies.
@@ -232,7 +245,7 @@ def _prunes(stage):
 def test_sharded_matches_reference(docs, reference):
     names = ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "star_star",
              "parent", "flwor_literal", "star_child", "star_never",
-             "count_star_cond"]
+             "count_star_cond", "count_star_parent", "item_parent"]
     smq = ShardedMultiQueryRun([ALL_QUERIES[n] for n in names],
                                workers=2)
     smq.run_xml(docs[7]["X"])
@@ -240,7 +253,8 @@ def test_sharded_matches_reference(docs, reference):
 
 
 @pytest.mark.parametrize("name", ["Q1", "Q3", "Q4", "Q6", "Q7", "Q9",
-                                  "star_star", "ancestor", "part_star"])
+                                  "star_star", "ancestor", "part_star",
+                                  "count_star_parent", "part_parent"])
 @pytest.mark.parametrize("fuse", [False, True], ids=["interp", "fused"])
 def test_checkpoint_mid_stream(name, fuse, docs, reference):
     text = docs[1][_dataset(name)]
@@ -317,20 +331,23 @@ def test_q3_demand_pinned():
 
 def test_q4_demand_pinned():
     assert _stage_demands(PAPER_QUERIES["Q4"]) == [
-        # The clone keeps shells only: the parent join reads child
-        # shells of each candidate, count() reads candidate shells.
-        {"reads": {"0": "content-only: shell, .//*/*=shell, "
+        # The clone keeps shells only: the parent join reads the item
+        # children of each candidate (the incoming results are items),
+        # count() reads candidate shells.
+        {"reads": {"0": "content-only: shell, .//*/item=shell, "
                         ".//item/location=whole"},
          "emits": {"0": "content-only: shell, .//item/location=whole",
-                   "1006": "content-only: shell, .//*/*=shell"}},
+                   "1006": "content-only: shell, .//*/item=shell"}},
         {"reads": {"0": "content-only: shell, .//item/location=whole"},
          "emits": {"1000": "rooted: shell, ./location=whole"}},
         {"reads": {"1000": "rooted: shell, ./location=whole"},
          "emits": {"1001": "rooted: shell"}},
-        {"reads": {"1006": "content-only: shell, .//*/*=shell"},
-         "emits": {"1007": "rooted: shell, ./*=shell"}},
+        # Candidates are read content-only although count() is rooted:
+        # one without an item child is never shown, so //* defers.
+        {"reads": {"1006": "content-only: shell, .//*/item=shell"},
+         "emits": {"1007": "content-only: shell, ./item=shell"}},
         {"reads": {"1001": "rooted: shell",
-                   "1007": "rooted: shell, ./*=shell"},
+                   "1007": "content-only: shell, ./item=shell"},
          "emits": {"1008": "rooted: shell"}},
         {"reads": {"1008": "rooted: shell"},
          "emits": {"1009": "rooted: whole"}},
@@ -338,12 +355,15 @@ def test_q4_demand_pinned():
 
 
 def test_lazy_stages_pinned():
-    # Matches are rooted under count(), FLWOR for and the backward join
-    # (Q4-Q7, Q9); Q1, Q2, Q3 and Q8 read theirs only through children.
+    # Matches are rooted under count(), FLWOR for and the backward
+    # join's incoming side (Q4-Q7, Q9); Q1, Q2, Q3 and Q8 read theirs
+    # only through children, and the join reads its candidates (stage 3
+    # of Q4-Q6) only through the elements a result may close as.
     lazy = {name: XFlux(query).compile().demand.lazy
             for name, query in PAPER_QUERIES.items()}
-    assert lazy == {"Q1": (0, 1), "Q2": (0,), "Q3": (0,), "Q4": (),
-                    "Q5": (), "Q6": (), "Q7": (), "Q8": (0,), "Q9": ()}
+    assert lazy == {"Q1": (0, 1), "Q2": (0,), "Q3": (0,), "Q4": (3,),
+                    "Q5": (3,), "Q6": (3,), "Q7": (), "Q8": (0,),
+                    "Q9": ()}
     for name in ("count_star_cond", "flwor_star_literal",
                  "flwor_star_construct"):
         assert XFlux(ALL_QUERIES[name]).compile().demand.lazy == ()
@@ -399,13 +419,17 @@ def test_calls_per_event_fall(name, docs):
 #: Transformer calls and display events of each paper query over the
 #: seed-1 documents (824 XMark / 1382 DBLP source events), interpreted.
 #: Q3 drops the ``//*`` matches holding no location or quantity child
-#: (5677 calls and 2372 display events with every match emitted); in
-#: every other query each match holds what its consumer reads, so the
-#: counts are exactly those of eager levels.
+#: (5677 calls and 2372 display events with every match emitted).  Q4
+#: and Q6 drop the backward-axis candidates that cannot hold an item
+#: result (7834 calls / 14 display events and 17592 / 11 when every
+#: candidate is emitted); Q5's candidates are europe elements, each with
+#: item descendants, so its counts are those of eager levels.  Q7 and
+#: Q9 route their concatenations' region traffic past the Concat stages
+#: (3964 and 24901 calls when Concat tracked every region).
 CALLS_PINNED = {
     "Q1": (1049, 35), "Q2": (1633, 248), "Q3": (1337, 202),
-    "Q4": (7834, 14), "Q5": (2679, 11), "Q6": (17592, 11),
-    "Q7": (3964, 667), "Q8": (3362, 612), "Q9": (24901, 3835),
+    "Q4": (2666, 8), "Q5": (2679, 11), "Q6": (14274, 11),
+    "Q7": (3642, 667), "Q8": (3362, 612), "Q9": (18951, 3835),
 }
 
 
@@ -415,6 +439,53 @@ def test_calls_and_display_events_pinned(name, docs):
                fuse=False, sanitize=False)
     assert (run.stats()["transformer_calls"],
             run.display.events_seen) == CALLS_PINNED[name]
+
+
+def _join_candidates(query, text):
+    """Run ``query`` interpreted; return (its answer, the tags of the
+    candidates its backward join opened, the join)."""
+    plan = XFlux(query).compile()
+    join = next(s for s in plan.stages if isinstance(s, AncestorJoin))
+    opened = []
+    process = join.process
+
+    def counting(e):
+        if (e.kind == SE and join.depth == 0
+                and join.current_input_root == join.clone_id):
+            opened.append(e.tag)
+        return process(e)
+    join.process = counting
+    run = QueryRun(plan, fuse=False, sanitize=False)
+    run.feed_all(_events(text, plan))
+    run.finish()
+    return run.text(), opened, join
+
+
+def test_q4_join_sees_one_candidate_per_item_parent(docs, reference):
+    text = docs[1]["X"]
+    answer, opened, join = _join_candidates(PAPER_QUERIES["Q4"], text)
+    assert answer == reference[("Q4", 1)]
+    # Exactly the elements with an item child reach the join, each
+    # once; every other candidate never leaves the //* step.
+    elements = parse_xml(text).descendants()
+    parents = [el.tag for el in elements if el.child_elements("item")]
+    assert sorted(opened) == sorted(parents)
+    assert 0 < len(opened) < len(elements) // 10
+    # Every incoming item closed at its region's top level.
+    assert join.incoming_depth == {}
+
+
+def test_unknown_incoming_tag_keeps_every_parent_candidate(docs,
+                                                           reference):
+    # //* results may be any element, so every candidate with a child
+    # element reaches the join.
+    text = docs[1]["X"]
+    answer, opened, _ = _join_candidates(EDGE_QUERIES["count_star_parent"],
+                                         text)
+    assert answer == reference[("count_star_parent", 1)]
+    assert sorted(opened) == sorted(
+        el.tag for el in parse_xml(text).descendants()
+        if el.child_elements())
 
 
 def test_never_true_condition_emits_no_match(docs):

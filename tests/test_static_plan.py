@@ -72,6 +72,25 @@ class TestFixMapPrediction:
         assert len(report.persistent_static) == 6
         assert not report.dynamic_persistent
 
+    @pytest.mark.parametrize("name", ["Q7", "Q9"])
+    def test_concat_tracks_no_bracket_family(self, name, xmark_text,
+                                             dblp_text):
+        # Concat passes region traffic through unchanged: no family is
+        # tracked there, and at run time its wrapper holds no region and
+        # never leaves the dormant path.
+        report = analyze_query(PAPER_QUERIES[name])
+        concats = [sr for sr in report.stages if sr.name == "Concat"]
+        assert concats and all(sr.updates_arrive for sr in concats)
+        assert all(sr.tracked == [] for sr in concats)
+        text = render_report(report)
+        assert "Concat" in text and "wrapper 0 families tracked" in text
+        plan = XFlux(PAPER_QUERIES[name]).compile()
+        run = run_plan(plan, doc_for(name, xmark_text, dblp_text))
+        wrappers = [w for w in run.pipeline.wrappers
+                    if type(w.t).__name__ == "Concat"]
+        assert all(w.dormant and not w.tracked.keys() - w.input_ids
+                   and w.peak_states == 1 for w in wrappers)
+
     @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4", "Q5",
                                       "Q6", "Q8"])
     def test_single_path_queries_free_everything(self, name):

@@ -159,3 +159,51 @@ class TestAdjustLaws:
         t = self._make(ctx)
         s1, s2, s3 = (4, 0), (1, 0), (7, 0)
         assert t.adjust(f_star(s1), s2, s3) == f_star(t.adjust(s1, s2, s3))
+
+
+class TestForeignUpdates:
+    """An update on streams a stage does not track leaves it dormant."""
+
+    def test_foreign_updates_pass_and_keep_the_wrapper_dormant(self, ctx):
+        w = UpdateWrapper(ChildStep(ctx, 5, 6, "a"))
+        foreign = loads('sM(0,1) sE(1,"a") eE(1,"a") eM(0,1) hide(1) '
+                        'show(1) sB(1,2) eB(1,2) freeze(1)')
+        ctx.fix.declare_mutable(1)
+        for e in foreign:
+            assert w.dispatch(e) == [e]
+        assert w.dormant and w.calls == len(foreign)
+        # freeze keeps its one global effect, as an active wrapper's.
+        assert ctx.fix.is_fixed(1)
+        # The stage's own update still activates it.
+        w.dispatch(loads("sM(5,7)")[0])
+        assert not w.dormant
+
+    def test_always_active_wrapper_awaits_its_own_update(self, ctx):
+        step = ChildStep(ctx, 5, 6, "a")
+        w = UpdateWrapper(step, always_active=True)
+        held = []
+        step.on_activate = lambda: held.append(True) or []
+        for e in loads("sM(0,1) eM(0,1) freeze(1)"):
+            assert w.dispatch(e) == [e]
+        assert held == []
+        w.dispatch(loads("sM(5,7)")[0])
+        assert held == [True]
+
+    @pytest.mark.parametrize("sanitize", [True, False])
+    def test_lazy_candidates_stay_dormant_without_routing(self, sanitize):
+        # The backward join's candidate //* sits behind the predicate,
+        # whose item regions reach it unrouted under the sanitizer.  They
+        # are foreign to it: it stays dormant and keeps deferring.
+        from repro.operators import DescendantStep
+        from repro.xquery.engine import QueryRun, XFlux
+        from repro.xmlio import tokenize
+        from tests.conftest import AUCTION_XML
+        plan = XFlux('count(X//item[location="Albania"]/..)').compile()
+        run = QueryRun(plan, fuse=False, sanitize=sanitize)
+        run.feed_all(tokenize(AUCTION_XML, emit_oids=True))
+        run.finish()
+        assert run.text() == "2"
+        wrapper = run.pipeline.wrappers[3]
+        assert isinstance(wrapper.t, DescendantStep) and wrapper.t._lazy
+        assert wrapper.dormant
+        assert not run.pipeline.wrappers[4].dormant   # the join's own
